@@ -15,7 +15,9 @@ import math
 
 import numpy as np
 
-from .channel import Protocol
+from .channel import ChannelConfig, Protocol
+
+MAX_GRID_POINTS = 1_000_000
 
 
 def binary_entropy(x: float) -> float:
@@ -80,13 +82,19 @@ def disturbance_grid(start: float, end: float, step: float) -> np.ndarray:
 
     Accumulated float error in start + k*step can push a nominal endpoint
     just outside the curves' domain (0.5 + 5e-17, say), so values within
-    1e-9 of either end are snapped exactly onto it.
+    1e-9 of either end are snapped exactly onto it.  Non-finite arguments
+    and grids of more than ``MAX_GRID_POINTS`` points are rejected.
     """
+    if not all(math.isfinite(v) for v in (start, end, step)):
+        raise ValueError(f"grid values must be finite, got {start}:{end}:{step}")
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     if end < start:
         raise ValueError(f"grid end {end} precedes start {start}")
-    n = int(round((end - start) / step))
+    span = (end - start) / step
+    if not span <= MAX_GRID_POINTS - 1:  # also catches overflow to inf
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+    n = int(round(span))
     if abs(start + n * step - end) > 1e-9:
         n = int(math.floor((end - start) / step + 1e-9))
     grid = start + step * np.arange(n + 1)
@@ -119,8 +127,7 @@ def protocol_comparison(p_segment: float = 1.0) -> list[dict[str, object]]:
     rate, so no error threshold separates secure from broken; security rests
     on the control-mode rate instead.
     """
-    if not 0.0 < p_segment <= 1.0:
-        raise ValueError(f"p_segment must be in (0, 1], got {p_segment}")
+    channel = ChannelConfig(p_segment=p_segment)
     d_star = critical_disturbance()
     rows: list[dict[str, object]] = []
     for protocol in Protocol:
@@ -133,7 +140,7 @@ def protocol_comparison(p_segment: float = 1.0) -> list[dict[str, object]]:
                 "attack_shows_in": "cm" if deterministic else "mm",
                 "critical_disturbance": None if deterministic else d_star,
                 "passes": protocol.passes,
-                "transmittance": p_segment**protocol.passes,
+                "transmittance": channel.transmittance(protocol),
             }
         )
     return rows

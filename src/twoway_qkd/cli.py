@@ -47,6 +47,16 @@ def _grid_arg(text: str) -> str:
     return text
 
 
+def _workers_arg(text: str) -> int:
+    try:
+        workers = int(text)
+        if workers >= 1:
+            return workers
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twoway-qkd",
@@ -79,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="control-mode probability (two-way protocols)")
     sim.add_argument("--detector-efficiency", type=float, default=1.0)
     sim.add_argument("--dark-count-prob", type=float, default=0.0)
-    sim.add_argument("--workers", type=int, default=1,
-                     help="processes to spread chunks over (result-neutral)")
+    sim.add_argument("--workers", type=_workers_arg, default=1,
+                     help="processes to spread chunks over (result-neutral; "
+                     "capped at the chunk and CPU counts)")
     _output_args(sim, default_format="json")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -121,6 +132,17 @@ def _csv_document(meta: dict[str, object], rows: list[dict[str, object]]) -> str
     return "\n".join(lines) + "\n"
 
 
+def _emit(
+    fmt: str, config: dict[str, object], key: str, body: object, **extra: object
+) -> str:
+    """One output document: ``body`` goes under ``key`` (``stats`` or ``rows``)."""
+    if fmt == "json":
+        payload = {"config": config, **extra, key: body, "version": __version__}
+        return json.dumps(payload, indent=2) + "\n"
+    meta = {**config, **extra, "version": __version__}
+    return _csv_document(meta, [body] if isinstance(body, dict) else body)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> str:
     config = SimConfig(
         protocol=Protocol(args.protocol),
@@ -135,16 +157,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         ),
     )
     stats = run(config, workers=args.workers)
-    if args.format == "json":
-        payload = {
-            "config": config.as_dict(),
-            "stats": stats.as_dict(),
-            "version": __version__,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    meta = dict(config.as_dict())
-    meta["version"] = __version__
-    return _csv_document(meta, [stats.as_dict()])
+    return _emit(args.format, config.as_dict(), "stats", stats.as_dict())
 
 
 def _cmd_analyze(args: argparse.Namespace) -> str:
@@ -154,21 +167,13 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
         rows = information_table(grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    d_star = critical_disturbance()
-    if args.format == "json":
-        payload = {
-            "config": {"d_grid": args.d_grid},
-            "critical_disturbance": d_star,
-            "rows": rows,
-            "version": __version__,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    meta = {
-        "d_grid": args.d_grid,
-        "critical_disturbance": d_star,
-        "version": __version__,
-    }
-    return _csv_document(meta, rows)
+    return _emit(
+        args.format,
+        {"d_grid": args.d_grid},
+        "rows",
+        rows,
+        critical_disturbance=critical_disturbance(),
+    )
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
@@ -176,15 +181,7 @@ def _cmd_table(args: argparse.Namespace) -> str:
         rows = protocol_comparison(args.p_segment)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if args.format == "json":
-        payload = {
-            "config": {"p_segment": args.p_segment},
-            "rows": rows,
-            "version": __version__,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    meta = {"p_segment": args.p_segment, "version": __version__}
-    return _csv_document(meta, rows)
+    return _emit(args.format, {"p_segment": args.p_segment}, "rows", rows)
 
 
 def main(argv: list[str] | None = None) -> int:

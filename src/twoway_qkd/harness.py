@@ -18,6 +18,8 @@ streams from (seed, chunk index).
 
 from __future__ import annotations
 
+import numbers
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversaries import AttackConfig, validate_attack
-from .analysis import binary_entropy
 from .channel import ChannelConfig, ConfigError, Protocol
 from .protocols import ROUND_FUNCTIONS, Tally
 
@@ -44,6 +45,11 @@ class SimConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
 
     def __post_init__(self) -> None:
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy ints -> JSON-safe
         if self.rounds < 1:
             raise ConfigError(f"rounds must be positive, got {self.rounds}")
         if self.seed < 0:
@@ -72,103 +78,8 @@ class SimConfig:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class RunStats:
-    """Merged counters of a finished run plus derived statistics.
-
-    Counter semantics: ``raw_key`` is the number of message-mode key bits
-    the receiver decoded (for the sifted scheme, the basis-matched subset);
-    ``eve_mm_rounds`` of those had the attacker present and ``eve_mm_correct``
-    are the ones where her copy of the bit is right.  ``l_final`` is what is
-    left of the raw key after discarding every bit the attacker holds.
-    """
-
-    rounds: int
-    lost: int
-    dark: int
-    mm_rounds: int
-    cm_rounds: int
-    raw_key: int
-    mm_errors: int
-    cm_errors: int
-    eve_rounds: int
-    eve_mm_rounds: int
-    eve_mm_correct: int
-    eve_cm_rounds: int
-    eve_cm_errors: int
-
-    @classmethod
-    def from_tally(cls, tally: Tally) -> "RunStats":
-        return cls(**tally.as_dict())
-
-    @property
-    def yield_fraction(self) -> float:
-        """Detected rounds (including dark firings) over all rounds."""
-        return (self.rounds - self.lost) / self.rounds
-
-    @property
-    def d_mm(self) -> float:
-        """Message-mode error rate over the raw key."""
-        return self.mm_errors / self.raw_key if self.raw_key else 0.0
-
-    @property
-    def d_cm(self) -> float:
-        """Control-mode error rate over all detected control rounds."""
-        return self.cm_errors / self.cm_rounds if self.cm_rounds else 0.0
-
-    @property
-    def d_cm_intercepted(self) -> float:
-        """Control-mode error rate over the attacker-present control rounds."""
-        return self.eve_cm_errors / self.eve_cm_rounds if self.eve_cm_rounds else 0.0
-
-    @property
-    def eve_known_fraction(self) -> float:
-        """Fraction of the raw key the attacker holds correctly."""
-        return self.eve_mm_correct / self.raw_key if self.raw_key else 0.0
-
-    @property
-    def l_final(self) -> int:
-        return self.raw_key - self.eve_mm_correct
-
-    @property
-    def i_ab_emp(self) -> float:
-        """1 - h(d_mm): what the parties share per raw key bit."""
-        return 1.0 - binary_entropy(min(self.d_mm, 1.0))
-
-    @property
-    def i_ae_emp(self) -> float:
-        """Attacker's information per raw key bit, from her coverage and
-        her conditional error rate on the rounds she touched."""
-        if not self.raw_key or not self.eve_mm_rounds:
-            return 0.0
-        coverage = self.eve_mm_rounds / self.raw_key
-        err = 1.0 - self.eve_mm_correct / self.eve_mm_rounds
-        return coverage * (1.0 - binary_entropy(err))
-
-    @property
-    def r_emp(self) -> float:
-        return self.i_ab_emp - self.i_ae_emp
-
-    def as_dict(self) -> dict[str, object]:
-        """Counters first, derived values after, in a fixed order."""
-        out: dict[str, object] = {name: getattr(self, name) for name in _COUNTERS}
-        for name in _DERIVED:
-            out[name] = getattr(self, name)
-        return out
-
-
-_COUNTERS = tuple(Tally.__slots__)
-_DERIVED = (
-    "yield_fraction",
-    "d_mm",
-    "d_cm",
-    "d_cm_intercepted",
-    "eve_known_fraction",
-    "l_final",
-    "i_ab_emp",
-    "i_ae_emp",
-    "r_emp",
-)
+# A finished run's statistics are its merged counters: the same class.
+RunStats = Tally
 
 
 def _chunk_rng(seed: int, index: int) -> random.Random:
@@ -199,20 +110,27 @@ def _chunks(rounds: int) -> list[tuple[int, int]]:
     return sizes
 
 
+def _pool_size(workers: int, n_chunks: int) -> int:
+    """Processes worth starting: never more than there are chunks or CPUs."""
+    return min(workers, n_chunks, os.cpu_count() or 1)
+
+
 def run(config: SimConfig, workers: int = 1) -> RunStats:
     """Execute a run and return its merged statistics.
 
     ``workers`` only distributes chunks over processes; it is not part of
-    the configuration and has no effect on the result.
+    the configuration and has no effect on the result.  The pool is capped
+    by :func:`_pool_size`.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     plan = _chunks(config.rounds)
+    workers = _pool_size(workers, len(plan))
     total = Tally()
-    if workers == 1 or len(plan) == 1:
+    if workers == 1:
         for index, n in plan:
             total.merge(_run_chunk(config, index, n))
-        return RunStats.from_tally(total)
+        return total
 
     batch = max(1, len(plan) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -224,4 +142,4 @@ def run(config: SimConfig, workers: int = 1) -> RunStats:
             chunksize=batch,
         ):
             total.merge(tally)
-    return RunStats.from_tally(total)
+    return total

@@ -1,13 +1,18 @@
 """Round-by-round protocol machines.
 
-Each function simulates one complete round (source to final announcement)
-and records what happened in a :class:`Tally`.  All randomness comes from
-the single ``rng`` argument, and the draw order is part of the contract:
-reordering draws changes every downstream outcome for a given seed, so the
-sequence below is frozen.
+Each round function simulates one complete round (source to final
+announcement) and records what happened in a :class:`Tally`.  All three
+share one skeleton, which spends the presence, mode and loss draws and
+books the outcome into the counters; a per-protocol body plays only the
+physics of a detected round.  All randomness comes from the single ``rng``
+argument, and the draw order is part of the contract: reordering draws
+changes every downstream outcome for a given seed, so the sequence below is
+frozen.
 
 Per-round draw sequence
 -----------------------
+Steps 1-3 are spent by the skeleton, step 4 by the protocol body.
+
 1. ``u`` for Eve's presence coin.  Always spent, even when the strategy is
    NONE, so that ``q = 0`` with any strategy reproduces the attack-free
    stream byte for byte.
@@ -32,8 +37,10 @@ and contributes no eavesdropper knowledge.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, fields
 
 from .adversaries import InterceptResend, LucamariniAttack, NguyenAttack, Strategy
+from .analysis import binary_entropy
 from .channel import Protocol
 from .quantum import (
     Basis,
@@ -50,133 +57,194 @@ from .quantum import (
 
 _Z = Basis.Z
 _X = Basis.X
-
-# Detection outcomes for the loss stage.
-_LOST = 0
-_REAL = 1
-_DARK = 2
+_NONE = Strategy.NONE
 
 
+@dataclass(slots=True)
 class Tally:
-    """Integer round counters.
+    """Integer round counters of a chunk or a whole run, and the statistics
+    derived from them.
 
     Addition is associative and commutative, which is what makes chunked
     and parallel runs merge into byte-identical results regardless of
-    schedule.
+    schedule; derived statistics are computed from the merged integers.
+
+    Counter semantics: ``raw_key`` is the number of message-mode key bits
+    the receiver decoded (for the sifted scheme, the basis-matched subset);
+    ``eve_mm_rounds`` of those had the attacker present and ``eve_mm_correct``
+    are the ones where her copy of the bit is right.  ``l_final`` is what is
+    left of the raw key after discarding every bit the attacker holds.
     """
 
-    __slots__ = (
-        "rounds",
-        "lost",
-        "dark",
-        "mm_rounds",
-        "cm_rounds",
-        "raw_key",
-        "mm_errors",
-        "cm_errors",
-        "eve_rounds",
-        "eve_mm_rounds",
-        "eve_mm_correct",
-        "eve_cm_rounds",
-        "eve_cm_errors",
-    )
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
+    rounds: int = 0
+    lost: int = 0
+    dark: int = 0
+    mm_rounds: int = 0
+    cm_rounds: int = 0
+    raw_key: int = 0
+    mm_errors: int = 0
+    cm_errors: int = 0
+    eve_rounds: int = 0
+    eve_mm_rounds: int = 0
+    eve_mm_correct: int = 0
+    eve_cm_rounds: int = 0
+    eve_cm_errors: int = 0
 
     def merge(self, other: "Tally") -> None:
-        for name in self.__slots__:
+        for name in _COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+    @property
+    def yield_fraction(self) -> float:
+        """Detected rounds (including dark firings) over all rounds."""
+        return (self.rounds - self.lost) / self.rounds if self.rounds else 0.0
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tally):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
-        )
+    @property
+    def d_mm(self) -> float:
+        """Message-mode error rate over the raw key."""
+        return self.mm_errors / self.raw_key if self.raw_key else 0.0
+
+    @property
+    def d_cm(self) -> float:
+        """Control-mode error rate over all detected control rounds."""
+        return self.cm_errors / self.cm_rounds if self.cm_rounds else 0.0
+
+    @property
+    def d_cm_intercepted(self) -> float:
+        """Control-mode error rate over the attacker-present control rounds."""
+        return self.eve_cm_errors / self.eve_cm_rounds if self.eve_cm_rounds else 0.0
+
+    @property
+    def eve_known_fraction(self) -> float:
+        """Fraction of the raw key the attacker holds correctly."""
+        return self.eve_mm_correct / self.raw_key if self.raw_key else 0.0
+
+    @property
+    def l_final(self) -> int:
+        return self.raw_key - self.eve_mm_correct
+
+    @property
+    def i_ab_emp(self) -> float:
+        """1 - h(d_mm): what the parties share per raw key bit."""
+        return 1.0 - binary_entropy(min(self.d_mm, 1.0))
+
+    @property
+    def i_ae_emp(self) -> float:
+        """Attacker's information per raw key bit, from her coverage and
+        her conditional error rate on the rounds she touched."""
+        if not self.raw_key or not self.eve_mm_rounds:
+            return 0.0
+        coverage = self.eve_mm_rounds / self.raw_key
+        err = 1.0 - self.eve_mm_correct / self.eve_mm_rounds
+        return coverage * (1.0 - binary_entropy(err))
+
+    @property
+    def r_emp(self) -> float:
+        return self.i_ab_emp - self.i_ae_emp
+
+    def as_dict(self) -> dict[str, object]:
+        """Counters first, derived values after, in a fixed order."""
+        return {name: getattr(self, name) for name in _COUNTERS + _DERIVED}
 
 
-def _presence(rng: random.Random, strategy: Strategy, q: float) -> bool:
-    u = rng.random()
-    return strategy is not Strategy.NONE and u < q
+_COUNTERS = tuple(f.name for f in fields(Tally))
+_DERIVED = (
+    "yield_fraction",
+    "d_mm",
+    "d_cm",
+    "d_cm_intercepted",
+    "eve_known_fraction",
+    "l_final",
+    "i_ab_emp",
+    "i_ae_emp",
+    "r_emp",
+)
 
 
-def _detect(
-    tally: Tally, rng: random.Random, transmittance: float, dark_prob: float
-) -> int:
-    """Spend the loss draw; on loss, roll the dark-count coin if enabled."""
-    if rng.random() < transmittance:
-        return _REAL
-    if dark_prob > 0.0 and rng.random() < dark_prob:
-        tally.dark += 1
-        return _DARK
-    tally.lost += 1
-    return _LOST
+def _round_function(body, two_way: bool):
+    """The shared round skeleton around one protocol body.
+
+    The body is called as ``body(rng, cm, dark, eve)`` for a detected round
+    and returns ``(error, eve_correct)``, or None for a message round that
+    sifting discards.
+    """
+
+    def round_fn(
+        tally: Tally,
+        rng: random.Random,
+        strategy: Strategy,
+        q: float,
+        cm_prob: float,
+        transmittance: float,
+        dark_prob: float,
+    ) -> None:
+        tally.rounds += 1
+        eve = rng.random() < q and strategy is not _NONE
+        if eve:
+            tally.eve_rounds += 1
+        cm = two_way and rng.random() < cm_prob
+        if rng.random() < transmittance:
+            dark = False
+        elif dark_prob > 0.0 and rng.random() < dark_prob:
+            tally.dark += 1
+            dark = True
+            eve = False  # a dark firing carries no eavesdropper knowledge
+        else:
+            tally.lost += 1
+            return
+
+        result = body(rng, cm, dark, eve)
+        if cm:
+            tally.cm_rounds += 1
+            error = result[0]
+            if error:
+                tally.cm_errors += 1
+            if eve:
+                tally.eve_cm_rounds += 1
+                if error:
+                    tally.eve_cm_errors += 1
+            return
+        tally.mm_rounds += 1
+        if result is None:
+            return
+        error, eve_correct = result
+        tally.raw_key += 1
+        if error:
+            tally.mm_errors += 1
+        if eve:
+            tally.eve_mm_rounds += 1
+            if eve_correct:
+                tally.eve_mm_correct += 1
+
+    round_fn.__doc__ = body.__doc__
+    return round_fn
 
 
-def bb84_round(
-    tally: Tally,
-    rng: random.Random,
-    strategy: Strategy,
-    q: float,
-    cm_prob: float,
-    transmittance: float,
-    dark_prob: float,
-) -> None:
+def _bb84(rng: random.Random, cm: bool, dark: bool, eve: bool):
     """One prepare-and-measure round with optional intercept-resend."""
-    tally.rounds += 1
-    eve_present = _presence(rng, strategy, q)
-    if eve_present:
-        tally.eve_rounds += 1
-    detection = _detect(tally, rng, transmittance, dark_prob)
-    if detection == _LOST:
-        return
-    tally.mm_rounds += 1
-
     a_bit = rng.getrandbits(1)
     a_basis = _Z if rng.getrandbits(1) == 0 else _X
 
-    if detection == _DARK:
+    if dark:
         b_basis = _Z if rng.getrandbits(1) == 0 else _X
-        if a_basis is b_basis:
-            tally.raw_key += 1
-            if rng.getrandbits(1) != a_bit:
-                tally.mm_errors += 1
-        return
+        if a_basis is not b_basis:
+            return None
+        return rng.getrandbits(1) != a_bit, False
 
     state = a_basis.eigenstate(a_bit)
-    eve = None
-    if eve_present:
-        eve = InterceptResend()
-        state = eve.intercept(state, rng)
+    if eve:
+        attack = InterceptResend()
+        state = attack.intercept(state, rng)
 
     b_basis = _Z if rng.getrandbits(1) == 0 else _X
     b_bit, _ = measure(state, b_basis, rng.random())
 
     if a_basis is not b_basis:
-        return
-    tally.raw_key += 1
-    if b_bit != a_bit:
-        tally.mm_errors += 1
-    if eve is not None:
-        tally.eve_mm_rounds += 1
-        if eve.bit == a_bit:
-            tally.eve_mm_correct += 1
+        return None
+    return b_bit != a_bit, eve and attack.bit == a_bit
 
 
-def pp_round(
-    tally: Tally,
-    rng: random.Random,
-    strategy: Strategy,
-    q: float,
-    cm_prob: float,
-    transmittance: float,
-    dark_prob: float,
-) -> None:
+def _pp(rng: random.Random, cm: bool, dark: bool, eve: bool):
     """One round of the Bell-pair protocol.
 
     Bob keeps photon 1 of a psi- pair and sends photon 2.  In message mode
@@ -186,82 +254,39 @@ def pp_round(
     control mode both parties measure in the computational basis and check
     anticorrelation; equal outcomes are errors.
     """
-    tally.rounds += 1
-    eve_present = _presence(rng, strategy, q)
-    if eve_present:
-        tally.eve_rounds += 1
-    is_cm = rng.random() < cm_prob
-    detection = _detect(tally, rng, transmittance, dark_prob)
-    if detection == _LOST:
-        return
-
-    if detection == _DARK:
-        if is_cm:
-            tally.cm_rounds += 1
-            if rng.getrandbits(1) == rng.getrandbits(1):
-                tally.cm_errors += 1
-        else:
-            tally.mm_rounds += 1
-            tally.raw_key += 1
-            if rng.getrandbits(1) != rng.getrandbits(1):
-                tally.mm_errors += 1
-        return
+    if dark:
+        if cm:
+            return rng.getrandbits(1) == rng.getrandbits(1), False
+        return rng.getrandbits(1) != rng.getrandbits(1), False
 
     pair = prepare_bell(BellState.PSI_MINUS)
-    eve = None
-    if eve_present:
-        eve = NguyenAttack()
-        alice_pair = eve.seize(pair)
+    if eve:
+        attack = NguyenAttack()
+        alice_pair = attack.seize(pair)
     else:
         alice_pair = pair
 
-    if is_cm:
-        tally.cm_rounds += 1
+    if cm:
         a_bit, remainder = measure_photon(alice_pair, 2, _Z, rng.random())
-        if eve is None:
-            b_bit, _ = measure(remainder, _Z, rng.random())
-        else:
+        if eve:
             b_bit, _ = measure_photon(pair, 1, _Z, rng.random())
-        error = a_bit == b_bit
-        if error:
-            tally.cm_errors += 1
-        if eve is not None:
-            tally.eve_cm_rounds += 1
-            if error:
-                tally.eve_cm_errors += 1
-        return
+        else:
+            b_bit, _ = measure(remainder, _Z, rng.random())
+        return a_bit == b_bit, False
 
-    tally.mm_rounds += 1
     a_bit = rng.getrandbits(1)
     encoded = half_wave_plate(alice_pair, 2) if a_bit else alice_pair
 
-    if eve is not None:
-        eve.read_return(encoded, rng)
-        return_pair = eve.replay()
-    else:
-        return_pair = encoded
+    if eve:
+        attack.read_return(encoded, rng)
+        encoded = attack.replay()
 
-    outcome = bell_measure(return_pair, rng.random())
+    outcome = bell_measure(encoded, rng.random())
     b_bit = 0 if outcome is BellOutcome.SPLIT else 1
-
-    tally.raw_key += 1
-    if b_bit != a_bit:
-        tally.mm_errors += 1
-    if eve is not None:
-        tally.eve_mm_rounds += 1
-        if eve.bit == a_bit:
-            tally.eve_mm_correct += 1
+    return b_bit != a_bit, eve and attack.bit == a_bit
 
 
-def lm05_round(
-    tally: Tally,
-    rng: random.Random,
-    strategy: Strategy,
-    q: float,
-    cm_prob: float,
-    transmittance: float,
-    dark_prob: float,
-) -> None:
+def _lm05(rng: random.Random, cm: bool, dark: bool, eve: bool):
     """One round of the single-photon two-way protocol.
 
     Bob prepares one of the four basis states and sends it.  In message
@@ -271,73 +296,41 @@ def lm05_round(
     random basis and announces basis and outcome; the announcement is an
     error when her basis matches Bob's preparation and the outcome does not.
     """
-    tally.rounds += 1
-    eve_present = _presence(rng, strategy, q)
-    if eve_present:
-        tally.eve_rounds += 1
-    is_cm = rng.random() < cm_prob
-    detection = _detect(tally, rng, transmittance, dark_prob)
-    if detection == _LOST:
-        return
-
     prep_bit = rng.getrandbits(1)
     prep_basis = _Z if rng.getrandbits(1) == 0 else _X
 
-    if detection == _DARK:
-        if is_cm:
-            tally.cm_rounds += 1
+    if dark:
+        if cm:
             a_basis = _Z if rng.getrandbits(1) == 0 else _X
-            if a_basis is prep_basis and rng.getrandbits(1) != prep_bit:
-                tally.cm_errors += 1
-        else:
-            tally.mm_rounds += 1
-            tally.raw_key += 1
-            if rng.getrandbits(1) != rng.getrandbits(1):
-                tally.mm_errors += 1
-        return
+            return a_basis is prep_basis and rng.getrandbits(1) != prep_bit, False
+        return rng.getrandbits(1) != rng.getrandbits(1), False
 
     state = prep_basis.eigenstate(prep_bit)
-    eve = None
-    if eve_present:
-        eve = LucamariniAttack()
-        alice_state = eve.seize(state, rng)
+    if eve:
+        attack = LucamariniAttack()
+        alice_state = attack.seize(state, rng)
     else:
         alice_state = state
 
-    if is_cm:
-        tally.cm_rounds += 1
+    if cm:
         a_basis = _Z if rng.getrandbits(1) == 0 else _X
         a_bit, _ = measure(alice_state, a_basis, rng.random())
-        error = a_basis is prep_basis and a_bit != prep_bit
-        if error:
-            tally.cm_errors += 1
-        if eve is not None:
-            tally.eve_cm_rounds += 1
-            if error:
-                tally.eve_cm_errors += 1
-        return
+        return a_basis is prep_basis and a_bit != prep_bit, False
 
-    tally.mm_rounds += 1
     a_bit = rng.getrandbits(1)
     encoded = apply_pauli(PauliOp.IY, alice_state) if a_bit else alice_state
 
-    if eve is not None:
-        eve.read_return(encoded, rng)
-        to_bob = eve.replay()
-    else:
-        to_bob = encoded
+    if eve:
+        attack.read_return(encoded, rng)
+        encoded = attack.replay()
 
-    m, _ = measure(to_bob, prep_basis, rng.random())
-    b_bit = m ^ prep_bit
+    m, _ = measure(encoded, prep_basis, rng.random())
+    return (m ^ prep_bit) != a_bit, eve and attack.bit == a_bit
 
-    tally.raw_key += 1
-    if b_bit != a_bit:
-        tally.mm_errors += 1
-    if eve is not None:
-        tally.eve_mm_rounds += 1
-        if eve.bit == a_bit:
-            tally.eve_mm_correct += 1
 
+bb84_round = _round_function(_bb84, two_way=False)
+pp_round = _round_function(_pp, two_way=True)
+lm05_round = _round_function(_lm05, two_way=True)
 
 ROUND_FUNCTIONS = {
     Protocol.BB84: bb84_round,

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from twoway_qkd.analysis import (
+    MAX_GRID_POINTS,
     bb84_mutual_information,
     bb84_secret_fraction,
     binary_entropy,
@@ -13,6 +14,7 @@ from twoway_qkd.analysis import (
     twoway_mutual_information,
     twoway_secret_fraction,
 )
+from twoway_qkd.channel import ConfigError
 
 
 class TestBinaryEntropy:
@@ -124,6 +126,29 @@ class TestDisturbanceGrid:
         with pytest.raises(ValueError):
             disturbance_grid(0.4, 0.1, 0.1)
 
+    @pytest.mark.parametrize(
+        "start, end, step",
+        [
+            (0.0, float("inf"), 0.1),
+            (float("-inf"), 0.5, 0.1),
+            (0.0, 0.5, float("inf")),
+            (0.0, float("nan"), 0.1),
+            (float("nan"), 0.5, 0.1),
+            (0.0, 0.5, float("nan")),
+        ],
+    )
+    def test_rejects_non_finite_values(self, start, end, step):
+        with pytest.raises(ValueError, match="finite"):
+            disturbance_grid(start, end, step)
+
+    def test_point_count_is_capped(self):
+        assert len(disturbance_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="points"):
+            disturbance_grid(0.0, float(MAX_GRID_POINTS), 1.0)
+        # Finite bounds whose span overflows to inf are rejected too.
+        with pytest.raises(ValueError, match="points"):
+            disturbance_grid(-1e308, 1e308, 1.0)
+
 
 class TestInformationTable:
     def test_rows_match_the_curves(self):
@@ -169,6 +194,8 @@ class TestProtocolComparison:
             protocol_comparison(0.0)
         with pytest.raises(ValueError):
             protocol_comparison(1.1)
+        with pytest.raises(ConfigError, match=r"p_segment must be in \(0, 1\]"):
+            protocol_comparison(float("nan"))
 
 
 def test_entropy_against_quadrature():

@@ -168,6 +168,21 @@ class TestConfigRejection:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "grid", ["0:inf:0.1", "-inf:0.5:0.1", "0:0.5:nan", "0:0.5:1e-7"]
+    )
+    def test_unbounded_grid_exits_3(self, capsys, grid):
+        code, out, err = run_cli(capsys, "analyze", f"--d-grid={grid}")
+        assert code == 3
+        assert out == ""
+        assert "error:" in err
+
+    def test_bad_table_p_segment_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--p-segment", "0")
+        assert code == 3
+        assert out == ""
+        assert "p_segment must be in (0, 1]" in err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -178,6 +193,9 @@ class TestUsageErrors:
             ("simulate", "--protocol", "pp", "--rounds", "16", "--format", "xml"),
             ("analyze", "--d-grid", "nonsense"),
             ("analyze", "--d-grid", "0:0.5"),
+            ("simulate", "--protocol", "pp", "--rounds", "16", "--workers", "0"),
+            ("simulate", "--protocol", "pp", "--rounds", "16", "--workers", "-2"),
+            ("simulate", "--protocol", "pp", "--rounds", "16", "--workers", "two"),
             ("bogus",),
         ],
     )

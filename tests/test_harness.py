@@ -1,11 +1,20 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
 from twoway_qkd.adversaries import AttackConfig, Strategy
 from twoway_qkd.analysis import binary_entropy
 from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol
-from twoway_qkd.harness import CHUNK_ROUNDS, RunStats, SimConfig, _chunks, run
+from twoway_qkd.harness import (
+    CHUNK_ROUNDS,
+    RunStats,
+    SimConfig,
+    _chunks,
+    _pool_size,
+    run,
+)
 from twoway_qkd.protocols import Tally
 
 
@@ -26,6 +35,21 @@ class TestSimConfig:
             SimConfig(protocol=Protocol.PP, rounds=0)
         with pytest.raises(ConfigError):
             SimConfig(protocol=Protocol.PP, rounds=100, seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value", [("rounds", 1.5), ("rounds", True), ("rounds", "16"),
+                         ("seed", 1.5), ("seed", False), ("seed", 2.0)]
+    )
+    def test_rejects_non_integer_rounds_and_seed(self, field, value):
+        kwargs = {"rounds": 100, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SimConfig(protocol=Protocol.PP, **kwargs)
+
+    def test_accepts_numpy_integers(self):
+        config = SimConfig(protocol=Protocol.PP, rounds=np.int64(16), seed=np.uint32(3))
+        assert type(config.rounds) is int and type(config.seed) is int
+        assert json.loads(json.dumps(config.as_dict()))["seed"] == 3
+        assert run(config).rounds == 16
 
     def test_rejects_bad_cm_prob(self):
         with pytest.raises(ConfigError):
@@ -95,14 +119,14 @@ class TestRunStatsDerived:
         assert stats.i_ab_emp == 1.0
         assert stats.i_ae_emp == 0.0
 
-    def test_from_tally_round_trip(self):
+    def test_run_stats_is_the_tally(self):
+        assert RunStats is Tally
         tally = Tally()
         tally.rounds = 7
         tally.raw_key = 3
-        stats = RunStats.from_tally(tally)
-        assert stats.rounds == 7
-        assert stats.raw_key == 3
-        assert stats.as_dict()["rounds"] == 7
+        assert tally.as_dict()["rounds"] == 7
+        assert tally.as_dict()["raw_key"] == 3
+        assert type(run(pp_config(rounds=10))) is Tally
 
     def test_as_dict_order_is_counters_then_derived(self):
         stats = RunStats(*([1] * 13))
@@ -186,6 +210,15 @@ class TestDeterminism:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             run(pp_config(rounds=10), workers=0)
+
+
+def test_pool_size_is_capped_by_chunks_and_cpus():
+    # Checked through the pure helper only; no pool is started.
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10**6, 10**6) == cpus
+    assert _pool_size(10**6, 3) == min(3, cpus)
+    assert _pool_size(10**6, 1) == 1
+    assert _pool_size(1, 500) == 1
 
 
 class TestRunStatistics:
