@@ -1,10 +1,11 @@
 """Eavesdropping strategies.
 
-Each attack is a small round-local state machine: the protocol round creates
-one instance when Eve is present, feeds it the states she touches in channel
-order, and reads back her inferred bit.  Nothing survives between rounds;
-Eve's presence itself is an i.i.d. coin with probability ``q`` spent by the
-harness before the round starts.
+Each attack is a small round-local state machine: a reference round of
+:mod:`twoway_qkd.protocols` creates one instance when Eve is present, feeds
+it the states she touches in channel order, and reads back her inferred
+bit.  Nothing survives between rounds; Eve's presence itself is an i.i.d.
+coin with probability ``q`` spent before the round starts.  The chunk
+kernels play the same attacks as masked array operations.
 
 Two of the strategies are the known transparent attacks on two-way schemes:
 the attacker detaches the information carrier on the forward leg, hands the
@@ -31,7 +32,6 @@ from .quantum import (
     apply_pauli,
     bell_measure,
     half_wave_plate,
-    hwp0,
     measure,
     prepare_bell,
 )
@@ -144,14 +144,11 @@ class LucamariniAttack:
         return apply_pauli(PauliOp.IY, self.stored) if self.bit else self.stored
 
 
-# hwp0 is re-exported so strategy code and tests can reason about the
-# tag-level action of the wave plate without importing quantum directly.
 __all__ = [
     "AttackConfig",
     "InterceptResend",
     "LucamariniAttack",
     "NguyenAttack",
     "Strategy",
-    "hwp0",
     "validate_attack",
 ]

@@ -9,18 +9,16 @@ merged by addition, which is order-insensitive; derived statistics are
 computed once from the merged integers.  Two runs of the same config
 therefore serialize byte-identically at any parallelism.
 
-The stdlib Mersenne generator is used for the inner loop because millions
-of scalar draws per run are needed and it is several times faster per draw
-than a vectorized generator called with size 1; substream derivation still
-goes through numpy's SeedSequence, whose spawn keys give well-separated
-streams from (seed, chunk index).
+Each chunk is played by one vectorized kernel from
+:data:`twoway_qkd.protocols.CHUNK_KERNELS`, which draws its coins as arrays
+from a PCG64 generator seeded by numpy's SeedSequence; the spawn keys give
+well-separated streams from (seed, chunk index).
 """
 
 from __future__ import annotations
 
 import numbers
 import os
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,8 +26,9 @@ import numpy as np
 
 from .adversaries import AttackConfig, validate_attack
 from .channel import ChannelConfig, ConfigError, Protocol
-from .protocols import ROUND_FUNCTIONS, Tally
+from .protocols import CHUNK_KERNELS, Tally
 
+# Rounds per chunk; the kernel's working set grows with it, so peak RSS bounds it.
 CHUNK_ROUNDS = 4096
 
 
@@ -82,24 +81,22 @@ class SimConfig:
 RunStats = Tally
 
 
-def _chunk_rng(seed: int, index: int) -> random.Random:
+def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     """Independent substream for one chunk, from (seed, chunk index) only."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return random.Random(int.from_bytes(ss.generate_state(4).tobytes(), "little"))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _run_chunk(config: SimConfig, index: int, n_rounds: int) -> Tally:
-    rng = _chunk_rng(config.seed, index)
-    tally = Tally()
-    round_fn = ROUND_FUNCTIONS[config.protocol]
-    strategy = config.attack.strategy
-    q = config.attack.q
-    cm_prob = config.cm_prob
-    transmittance = config.channel.transmittance(config.protocol)
-    dark = config.channel.dark_count_prob
-    for _ in range(n_rounds):
-        round_fn(tally, rng, strategy, q, cm_prob, transmittance, dark)
-    return tally
+    return CHUNK_KERNELS[config.protocol](
+        _chunk_rng(config.seed, index),
+        n_rounds,
+        config.attack.strategy,
+        config.attack.q,
+        config.cm_prob,
+        config.channel.transmittance(config.protocol),
+        config.channel.dark_count_prob,
+    )
 
 
 def _chunks(rounds: int) -> list[tuple[int, int]]:

@@ -1,37 +1,62 @@
-"""Round-by-round protocol machines.
+"""Protocol machines: one vectorized chunk kernel per protocol, and the
+round-by-round reference model the kernels are tested against.
 
-Each round function simulates one complete round (source to final
-announcement) and records what happened in a :class:`Tally`.  All three
-share one skeleton, which spends the presence, mode and loss draws and
-books the outcome into the counters; a per-protocol body plays only the
-physics of a detected round.  All randomness comes from the single ``rng``
-argument, and the draw order is part of the contract: reordering draws
-changes every downstream outcome for a given seed, so the sequence below is
-frozen.
+Both engines record what happened in a :class:`Tally`.  Each has one
+skeleton, which spends the presence, mode and loss draws and books the
+outcome into the counters, around a per-protocol body that plays only the
+physics.  Control mode is decided by the encoding party after the
+forward leg, so an interposed attacker has already committed her
+substitution by the time the round is declared a check round.  Control
+rounds have no return leg.  Dark counts are modeled crudely: a lost round
+that fires the detector anyway gives the measuring side uniformly random
+outcomes and contributes no eavesdropper knowledge.
 
-Per-round draw sequence
------------------------
-Steps 1-3 are spent by the skeleton, step 4 by the protocol body.
+Chunk kernels
+-------------
+:data:`CHUNK_KERNELS` is the engine :func:`twoway_qkd.harness.run` uses.
+A kernel plays ``n`` rounds at once from a :class:`numpy.random.Generator`.
+Every amplitude these protocols touch is real (the Z and X eigenstates, the
+HWP(0 deg) sign flip and the ZX flip ((0, 1), (-1, 0))), so a state is a
+pair of float64 arrays with one entry per round: ``(amp0, amp1)`` for a
+qubit, and ``(amp01, amp10)`` for a photon pair, whose |00> and |11>
+amplitudes are identically zero.  Preparation, attack substitution,
+encoding, replay and measurement are masked sign flips, swaps and copies
+over those arrays.  Born probabilities are squared real overlaps, computed
+as :func:`quantum.measure`, :func:`quantum.measure_photon` and
+:func:`quantum.bell_measure` compute them, so the copy attacks leave
+message mode with exactly zero error in floating point.  Each round's
+physics is worked out for both modes; the mode coin picks what is booked.
 
-1. ``u`` for Eve's presence coin.  Always spent, even when the strategy is
+Per-chunk draw layout.  Every draw is one row of ``n`` uniforms,
+``rng.random(n)``, spent for all rounds whether or not a round uses it;
+a bit is ``u < 0.5``.  The skeleton spends, in order:
+
+1. Eve's presence coin, ``u < q``.  Always spent, even when the strategy is
    NONE, so that ``q = 0`` with any strategy reproduces the attack-free
-   stream byte for byte.
-2. (two-way only) ``u`` for the control-mode coin.
-3. ``u`` for photon survival, judged against the compounded transmittance;
-   a lost round spends one more ``u`` on the dark-count coin when dark
-   counts are enabled.
-4. Protocol draws in channel order: sender preparation, Eve's forward-leg
-   choices, the encoding bit or control measurements, Eve's return-leg
-   measurement, receiver measurement.  Born-rule draws are spent even when
-   the outcome is certain.
+   stream.
+2. (two-way only) the control-mode coin, ``u < cm_prob``.
+3. Photon survival, ``u < T`` against the compounded transmittance; when
+   dark counts are enabled, one more row for the dark-count coin, which
+   counts on lost rounds only.
 
-Control mode is decided by the encoding party after the forward leg, so an
-interposed attacker has already committed her substitution by the time the
-round is declared a check round.  Control rounds have no return leg.
+Then the body, attack rows included whether or not Eve is present:
 
-Dark counts are modeled crudely: a lost round that fires the detector
-anyway proceeds with uniformly random outcome bits on the measuring side
-and contributes no eavesdropper knowledge.
+* ``bb84``: Alice's bit, Alice's basis, Eve's basis, Eve's measurement,
+  Bob's basis, Bob's measurement.
+* ``pp``: Alice's draw (her message bit, or her photon-2 measurement in
+  control mode), Eve's Bell measurement, Bob's measurement.
+* ``lm05``: Bob's prepared bit and basis, the decoy bit and basis, Alice's
+  choice (her message bit, or her control basis), Alice's control
+  measurement, Eve's decoy measurement, Bob's measurement.
+
+Reference model
+---------------
+:data:`ROUND_FUNCTIONS` plays one round at a time with the :mod:`quantum`
+state objects and the :mod:`adversaries` attack machines, drawing from a
+:class:`random.Random`: steps 1-3 above as single draws (the dark-count
+coin only on a lost round), then the protocol's draws in channel order,
+each spent only when the round reaches it.  It is the readable statement of
+the physics; nothing on the run path calls it.
 """
 
 from __future__ import annotations
@@ -39,12 +64,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .adversaries import InterceptResend, LucamariniAttack, NguyenAttack, Strategy
 from .analysis import binary_entropy
 from .channel import Protocol
 from .quantum import (
+    _R,
+    ATOL,
     Basis,
     BellOutcome,
+    BellSpanError,
     BellState,
     PauliOp,
     apply_pauli,
@@ -159,6 +189,210 @@ _DERIVED = (
     "i_ae_emp",
     "r_emp",
 )
+
+
+# -- chunk kernels -----------------------------------------------------------
+
+
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
+
+
+def _chunk_kernel(body, two_way: bool):
+    """The shared chunk skeleton around one protocol body.
+
+    The body is called as ``body(rng, n, cm, dark, eve)`` with boolean row
+    masks and returns three boolean arrays ``(error, eve_correct, keep)``;
+    ``keep`` marks the message rounds that sifting keeps, or is None when
+    every message round yields a key bit.
+    """
+
+    def kernel(
+        rng: np.random.Generator,
+        n: int,
+        strategy: Strategy,
+        q: float,
+        cm_prob: float,
+        transmittance: float,
+        dark_prob: float,
+    ) -> Tally:
+        eve = rng.random(n) < q
+        if strategy is _NONE:
+            eve[:] = False
+        cm = rng.random(n) < cm_prob if two_way else np.zeros(n, dtype=bool)
+        live = rng.random(n) < transmittance
+        if dark_prob > 0.0:
+            dark = rng.random(n) < dark_prob
+            dark &= ~live
+        else:
+            dark = np.zeros(n, dtype=bool)
+        tally = Tally(rounds=n, eve_rounds=_count(eve), dark=_count(dark))
+        eve &= ~dark  # a dark firing carries no eavesdropper knowledge
+        live |= dark
+        tally.lost = n - _count(live)
+
+        error, eve_correct, keep = body(rng, n, cm, dark, eve)
+        rows = cm & live
+        tally.cm_rounds = _count(rows)
+        tally.cm_errors = _count(rows & error)
+        rows &= eve
+        tally.eve_cm_rounds = _count(rows)
+        tally.eve_cm_errors = _count(rows & error)
+
+        np.logical_not(cm, out=rows)
+        rows &= live
+        tally.mm_rounds = _count(rows)
+        if keep is not None:
+            rows &= keep
+        tally.raw_key = _count(rows)
+        tally.mm_errors = _count(rows & error)
+        rows &= eve
+        tally.eve_mm_rounds = _count(rows)
+        tally.eve_mm_correct = _count(rows & eve_correct)
+        return tally
+
+    kernel.__doc__ = body.__doc__
+    return kernel
+
+
+def _bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.random(n) < 0.5
+
+
+def _flip(amp0: np.ndarray, amp1: np.ndarray, rows: np.ndarray) -> None:
+    """The ZX flip ((0, 1), (-1, 0)) in place on the given rows."""
+    old0 = amp0.copy()
+    np.copyto(amp0, amp1, where=rows)
+    np.negative(old0, out=amp1, where=rows)
+
+
+def _prepare(x_basis: np.ndarray, bit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis eigenstates per row: |0> or |+>, flipped by ZX where the bit
+    is 1, which gives |1> (up to a global sign) or |->."""
+    amp0 = np.where(x_basis, _R, 1.0)
+    amp1 = np.where(x_basis, _R, 0.0)
+    _flip(amp0, amp1, bit)
+    return amp0, amp1
+
+
+def _measure(
+    amp0: np.ndarray,
+    amp1: np.ndarray,
+    x_basis: np.ndarray,
+    u: np.ndarray,
+    coin: np.ndarray | None = None,
+) -> np.ndarray:
+    """Projective measurement per row; outcome 0 iff u < |<e0|psi>|^2.
+
+    Rows in ``coin`` (dark firings) read a fair coin instead.
+    """
+    p0 = np.where(x_basis, _R * amp0 + _R * amp1, amp0)
+    p0 *= p0
+    if coin is not None:
+        np.copyto(p0, 0.5, where=coin)
+    return u >= p0
+
+
+def _p_split(amp01: np.ndarray, amp10: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Beam-splitter psi- probability per row: split (bit 0) iff u < it.
+
+    Raises :class:`BellSpanError` if one of ``rows``, the rounds that reach
+    the analyzer, has weight outside span{psi-, psi+}.
+    """
+    p_minus = (_R * (amp01 - amp10)) ** 2
+    p_plus = (_R * (amp01 + amp10)) ** 2
+    p_plus += p_minus
+    outside = (p_plus < 1.0 - ATOL) & rows
+    if outside.any():
+        raise BellSpanError(
+            f"{_count(outside)} registers outside the psi-/psi+ span (in-span "
+            f"weight {p_plus[outside].min():.6f})"
+        )
+    return p_minus
+
+
+def _bb84_chunk(rng, n, cm, dark, eve):
+    """Prepare-and-measure rounds with optional intercept-resend."""
+    a_bit, a_x = _bits(rng, n), _bits(rng, n)
+    amp0, amp1 = _prepare(a_x, a_bit)
+    e_x = _bits(rng, n)
+    e_bit = _measure(amp0, amp1, e_x, rng.random(n))
+    resent0, resent1 = _prepare(e_x, e_bit)
+    np.copyto(amp0, resent0, where=eve)
+    np.copyto(amp1, resent1, where=eve)
+    b_x = _bits(rng, n)
+    b_bit = _measure(amp0, amp1, b_x, rng.random(n), dark)
+    return b_bit != a_bit, e_bit == a_bit, a_x == b_x
+
+
+# The source pair of the Bell-pair protocol: psi-'s |01> and |10> amplitudes.
+_PSI_MINUS = (_R, -_R)
+
+
+def _pp_chunk(rng, n, cm, dark, eve):
+    """Rounds of the Bell-pair protocol; see :func:`_pp`."""
+    mm = ~cm
+    amp01, amp10 = _PSI_MINUS
+    # Alice holds photon 2 of a psi- pair: Bob's, or under attack Eve's probe.
+    x01, x10 = np.full(n, amp01), np.full(n, amp10)
+    u_a = rng.random(n)
+    a_bit = u_a < 0.5
+    p0 = x10 * x10  # photon 2 in Z: outcome 0 iff u < |amp10|^2
+    np.copyto(p0, 0.5, where=dark)
+    a_cm = u_a >= p0
+    np.negative(x01, out=x01, where=a_bit & mm)  # HWP(0 deg) on photon 2
+    # Eve Bell-analyzes the encoded probe and replays it on Bob's pair.
+    e_bit = rng.random(n) >= _p_split(x01, x10, eve & mm)
+    b01, b10 = np.full(n, amp01), np.full(n, amp10)
+    np.negative(b01, out=b01, where=e_bit & mm)
+    # Without Eve, Bob's pair is Alice's, collapsed by her control measurement.
+    np.copyto(b01, x01, where=~eve)
+    np.copyto(b10, x10, where=~eve)
+    collapse = cm & ~eve
+    np.copyto(b10, 0.0, where=collapse & a_cm)
+    np.copyto(b01, 0.0, where=collapse & ~a_cm)
+    # Bob: Bell analysis in message mode, photon 1 in Z in control mode.
+    p0 = _p_split(b01, b10, mm)
+    w01, w10 = b01 * b01, b10 * b10
+    np.divide(w01, w01 + w10, out=p0, where=cm)
+    np.copyto(p0, 0.5, where=dark)
+    b_bit = rng.random(n) >= p0
+    error = np.where(cm, a_cm == b_bit, a_bit != b_bit)
+    return error, e_bit == a_bit, None
+
+
+def _lm05_chunk(rng, n, cm, dark, eve):
+    """Rounds of the single-photon two-way protocol; see :func:`_lm05`."""
+    mm = ~cm
+    prep_bit, prep_x = _bits(rng, n), _bits(rng, n)
+    s0, s1 = _prepare(prep_x, prep_bit)
+    decoy_bit, decoy_x = _bits(rng, n), _bits(rng, n)
+    # Alice receives Bob's qubit, or under attack Eve's decoy.
+    x0, x1 = _prepare(decoy_x, decoy_bit)
+    np.copyto(x0, s0, where=~eve)
+    np.copyto(x1, s1, where=~eve)
+    choice = _bits(rng, n)  # message bit, or control basis (1 = X)
+    a_cm = _measure(x0, x1, choice, rng.random(n), dark)
+    cm_error = (choice == prep_x) & (a_cm != prep_bit)
+    _flip(x0, x1, choice & mm)
+    # Eve reads the flip off her decoy and replays it on Bob's qubit.
+    e_bit = _measure(x0, x1, decoy_x, rng.random(n)) ^ decoy_bit
+    _flip(s0, s1, e_bit & mm)
+    np.copyto(x0, s0, where=eve)
+    np.copyto(x1, s1, where=eve)
+    m = _measure(x0, x1, prep_x, rng.random(n), dark)
+    error = np.where(cm, cm_error, (m ^ prep_bit) != choice)
+    return error, e_bit == choice, None
+
+
+CHUNK_KERNELS = {
+    Protocol.BB84: _chunk_kernel(_bb84_chunk, two_way=False),
+    Protocol.PP: _chunk_kernel(_pp_chunk, two_way=True),
+    Protocol.LM05: _chunk_kernel(_lm05_chunk, two_way=True),
+}
+
+
+# -- reference model ---------------------------------------------------------
 
 
 def _round_function(body, two_way: bool):
