@@ -6,18 +6,15 @@ four-state protocol (lm05), together with the eavesdropping strategy that
 reads each two-way scheme's message mode without disturbing it.  A
 closed-form layer supplies the mutual-information curves and the critical
 disturbance the baseline is judged against.
+
+The round-by-round reference model the chunk kernels are tested against
+(:mod:`.quantum`, ``protocols.ROUND_FUNCTIONS`` and the attack machines in
+:mod:`.adversaries`) is importable from those modules, not from here.
 """
 
 __version__ = "0.1.0"
 
-from .adversaries import (
-    AttackConfig,
-    InterceptResend,
-    LucamariniAttack,
-    NguyenAttack,
-    Strategy,
-    validate_attack,
-)
+from .adversaries import AttackConfig, Strategy
 from .analysis import (
     bb84_mutual_information,
     bb84_secret_fraction,
@@ -31,58 +28,24 @@ from .analysis import (
 )
 from .channel import ChannelConfig, ConfigError, Protocol
 from .harness import RunStats, SimConfig, run
-from .quantum import (
-    Basis,
-    BellOutcome,
-    BellSpanError,
-    BellState,
-    PairState,
-    PauliOp,
-    QubitState,
-    apply_pauli,
-    bell_measure,
-    half_wave_plate,
-    hwp0,
-    measure,
-    measure_photon,
-    prepare_bell,
-)
 
 __all__ = [
     "AttackConfig",
-    "Basis",
-    "BellOutcome",
-    "BellSpanError",
-    "BellState",
     "ChannelConfig",
     "ConfigError",
-    "InterceptResend",
-    "LucamariniAttack",
-    "NguyenAttack",
-    "PairState",
-    "PauliOp",
     "Protocol",
-    "QubitState",
     "RunStats",
     "SimConfig",
     "Strategy",
-    "apply_pauli",
     "bb84_mutual_information",
     "bb84_secret_fraction",
-    "bell_measure",
     "binary_entropy",
     "critical_disturbance",
     "disturbance_grid",
-    "half_wave_plate",
-    "hwp0",
     "information_table",
-    "measure",
-    "measure_photon",
-    "prepare_bell",
     "protocol_comparison",
     "run",
     "twoway_mutual_information",
     "twoway_secret_fraction",
-    "validate_attack",
     "__version__",
 ]

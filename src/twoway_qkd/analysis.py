@@ -82,8 +82,9 @@ def disturbance_grid(start: float, end: float, step: float) -> np.ndarray:
 
     Accumulated float error in start + k*step can push a nominal endpoint
     just outside the curves' domain (0.5 + 5e-17, say), so values within
-    1e-9 of either end are snapped exactly onto it.  Non-finite arguments
-    and grids of more than ``MAX_GRID_POINTS`` points are rejected.
+    1e-9 of either end are snapped exactly onto it, and onto ``start`` when
+    within 1e-9 of both.  Non-finite arguments and grids of more than
+    ``MAX_GRID_POINTS`` points are rejected.
     """
     if not all(math.isfinite(v) for v in (start, end, step)):
         raise ValueError(f"grid values must be finite, got {start}:{end}:{step}")
@@ -98,8 +99,8 @@ def disturbance_grid(start: float, end: float, step: float) -> np.ndarray:
     if abs(start + n * step - end) > 1e-9:
         n = int(math.floor((end - start) / step + 1e-9))
     grid = start + step * np.arange(n + 1)
-    grid[np.abs(grid - start) <= 1e-9] = start
     grid[np.abs(grid - end) <= 1e-9] = end
+    grid[np.abs(grid - start) <= 1e-9] = start
     return grid
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,31 +111,30 @@ def _pool_size(workers: int, n_chunks: int) -> int:
     return min(workers, n_chunks, os.cpu_count() or 1)
 
 
+def _merged(tallies) -> Tally:
+    total = Tally()
+    for tally in tallies:
+        total.merge(tally)
+    return total
+
+
 def run(config: SimConfig, workers: int = 1) -> RunStats:
     """Execute a run and return its merged statistics.
 
     ``workers`` only distributes chunks over processes; it is not part of
     the configuration and has no effect on the result.  The pool is capped
-    by :func:`_pool_size`.
+    by :func:`_pool_size`; a run capped to one process starts no pool and
+    imports no :mod:`multiprocessing`.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     plan = _chunks(config.rounds)
     workers = _pool_size(workers, len(plan))
-    total = Tally()
+    tasks = (_run_chunk, [config] * len(plan), *zip(*plan))
     if workers == 1:
-        for index, n in plan:
-            total.merge(_run_chunk(config, index, n))
-        return total
+        return _merged(map(*tasks))
+    from concurrent.futures import ProcessPoolExecutor
 
     batch = max(1, len(plan) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for tally in pool.map(
-            _run_chunk,
-            (config for _ in plan),
-            (index for index, _ in plan),
-            (n for _, n in plan),
-            chunksize=batch,
-        ):
-            total.merge(tally)
-    return total
+        return _merged(pool.map(*tasks, chunksize=batch))

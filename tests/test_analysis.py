@@ -114,6 +114,11 @@ class TestDisturbanceGrid:
         grid = disturbance_grid(0.0, 0.5, 0.01)
         assert float(grid[-1]) <= 0.5
 
+    def test_start_wins_when_both_ends_are_within_snapping_distance(self):
+        # The one point is within 1e-9 of both ends; it must stay the start.
+        grid = disturbance_grid(0.0, 1e-37, 1.0)
+        assert list(grid) == [0.0]
+
     def test_non_divisible_span_stops_short(self):
         grid = disturbance_grid(0.0, 0.5, 0.15)
         assert np.allclose(grid, [0.0, 0.15, 0.3, 0.45])

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,30 @@ class TestEntrypoints:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["stats"]["rounds"] == 256
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 4096 rounds are one chunk, so --workers 2 is capped to one.
+            ["--rounds", "4096", "--cm-prob", "0.25", "--workers", "2"],
+            ["--rounds", "10000", "--cm-prob", "0.25", "--workers", "1"],
+        ],
+    )
+    def test_serial_run_imports_no_process_pool(self, argv):
+        script = textwrap.dedent(f"""
+            import sys
+            from twoway_qkd.cli import main
+            code = main(["simulate", "--protocol", "pp", "--attack", "nguyen", *{argv!r}])
+            pool = [name for name in sys.modules
+                    if name.startswith("multiprocessing")
+                    or name == "concurrent.futures.process"]
+            print(code, pool, file=sys.stderr)
+        """)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.stderr.strip() == "0 []"
+        assert json.loads(result.stdout)["stats"]["mm_errors"] == 0
 
     @pytest.mark.skipif(
         not PYPROJECT.is_file(), reason=f"{PYPROJECT} not found"
