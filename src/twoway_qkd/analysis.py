@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .channel import ChannelConfig, Protocol
 
 MAX_GRID_POINTS = 1_000_000
@@ -57,7 +55,7 @@ def twoway_secret_fraction(q: float) -> float:
     return i_ab - i_ae
 
 
-def critical_disturbance(tol: float = 1e-12) -> float:
+def critical_disturbance() -> float:
     """Disturbance where I_AB(d) and I_AE(d) cross, by bisection.
 
     The crossing solves 1 - 2 h(d) = 0 on (0, 1/2), where the secret
@@ -68,7 +66,7 @@ def critical_disturbance(tol: float = 1e-12) -> float:
     f_lo = bb84_secret_fraction(lo)
     if f_lo <= 0.0:
         raise RuntimeError("secret fraction not positive at the lower bracket")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if bb84_secret_fraction(mid) > 0.0:
             lo = mid
@@ -77,13 +75,14 @@ def critical_disturbance(tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def disturbance_grid(start: float, end: float, step: float) -> np.ndarray:
-    """Inclusive arithmetic grid with endpoint snapping.
+def disturbance_grid(start: float, end: float, step: float) -> list[float]:
+    """Inclusive arithmetic grid ``start + k * step`` with end snapping.
 
-    Accumulated float error in start + k*step can push a nominal endpoint
-    just outside the curves' domain (0.5 + 5e-17, say), so values within
-    1e-9 of either end are snapped exactly onto it, and onto ``start`` when
-    within 1e-9 of both.  Non-finite arguments and grids of more than
+    The first point is ``start`` exactly.  Float error in start + n*step can
+    push the nominal end just outside the curves' domain (0.5 + 5e-17, say),
+    so a last point after the first that lies within 1e-9 of ``end`` is
+    snapped onto it; no other point moves, so the grid stays strictly
+    increasing at any step.  Non-finite arguments and grids of more than
     ``MAX_GRID_POINTS`` points are rejected.
     """
     if not all(math.isfinite(v) for v in (start, end, step)):
@@ -98,20 +97,21 @@ def disturbance_grid(start: float, end: float, step: float) -> np.ndarray:
     n = int(round(span))
     if abs(start + n * step - end) > 1e-9:
         n = int(math.floor((end - start) / step + 1e-9))
-    grid = start + step * np.arange(n + 1)
-    grid[np.abs(grid - end) <= 1e-9] = end
-    grid[np.abs(grid - start) <= 1e-9] = start
+    # Point 0 is ``start`` itself: start + 0.0 would turn -0.0 into 0.0.
+    grid = [start, *(start + step * k for k in range(1, n + 1))]
+    if n and abs(grid[-1] - end) <= 1e-9:
+        grid[-1] = end
     return grid
 
 
-def information_table(grid: np.ndarray) -> list[dict[str, float]]:
+def information_table(grid: list[float]) -> list[dict[str, float]]:
     """Rows of closed-form quantities over a disturbance grid."""
     rows = []
     for d in grid:
-        i_ab, i_ae = bb84_mutual_information(float(d))
+        i_ab, i_ae = bb84_mutual_information(d)
         rows.append(
             {
-                "d": float(d),
+                "d": d,
                 "i_ab": i_ab,
                 "i_ae": i_ae,
                 "secret_fraction": i_ab - i_ae,

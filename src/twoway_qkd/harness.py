@@ -20,6 +20,7 @@ from __future__ import annotations
 import numbers
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -98,14 +99,6 @@ def _run_chunk(config: SimConfig, index: int, n_rounds: int) -> Tally:
     )
 
 
-def _chunks(rounds: int) -> list[tuple[int, int]]:
-    full, rest = divmod(rounds, CHUNK_ROUNDS)
-    sizes = [(i, CHUNK_ROUNDS) for i in range(full)]
-    if rest:
-        sizes.append((full, rest))
-    return sizes
-
-
 def _pool_size(workers: int, n_chunks: int) -> int:
     """Processes worth starting: never more than there are chunks or CPUs."""
     return min(workers, n_chunks, os.cpu_count() or 1)
@@ -118,23 +111,34 @@ def _merged(tallies) -> Tally:
     return total
 
 
+def _run_chunks(config: SimConfig, first: int, last: int) -> Tally:
+    """Merged tally of chunks ``first`` to ``last - 1``, played in index order."""
+    rounds = config.rounds
+    return _merged(
+        _run_chunk(config, i, min(CHUNK_ROUNDS, rounds - i * CHUNK_ROUNDS))
+        for i in range(first, last)
+    )
+
+
 def run(config: SimConfig, workers: int = 1) -> RunStats:
     """Execute a run and return its merged statistics.
 
     ``workers`` only distributes chunks over processes; it is not part of
     the configuration and has no effect on the result.  The pool is capped
-    by :func:`_pool_size`; a run capped to one process starts no pool and
-    imports no :mod:`multiprocessing`.
+    by :func:`_pool_size`; a run capped to one process plays every chunk
+    in-process, starts no pool and imports no :mod:`multiprocessing`.  A
+    pool gets about four contiguous ranges of chunk indices per worker.
+    Neither schedule builds a per-chunk plan, so memory does not grow with
+    ``config.rounds``.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    plan = _chunks(config.rounds)
-    workers = _pool_size(workers, len(plan))
-    tasks = (_run_chunk, [config] * len(plan), *zip(*plan))
+    n = -(-config.rounds // CHUNK_ROUNDS)
+    workers = _pool_size(workers, n)
     if workers == 1:
-        return _merged(map(*tasks))
+        return _run_chunks(config, 0, n)
     from concurrent.futures import ProcessPoolExecutor
 
-    batch = max(1, len(plan) // (workers * 4))
+    firsts = range(0, n, max(1, n // (workers * 4)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _merged(pool.map(*tasks, chunksize=batch))
+        return _merged(pool.map(_run_chunks, repeat(config), firsts, [*firsts[1:], n]))

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 ATOL = 1e-9
 
 _R = 1.0 / math.sqrt(2.0)
@@ -56,10 +54,6 @@ class QubitState:
         """Physical equality: |<self|other>| = 1 up to tolerance."""
         return abs(abs(self.inner(other)) - 1.0) <= ATOL
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.amp0, self.amp1], dtype=complex)
-
 
 ZERO = QubitState(1.0, 0.0)
 ONE = QubitState(0.0, 1.0)
@@ -91,10 +85,6 @@ class PauliOp(Enum):
     X = "X"
     Z = "Z"
     IY = "iY"
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(_PAULI_ROWS[self], dtype=complex)
 
 
 # Row-major 2x2 entries; iY is exactly the matrix product Z X.
@@ -140,11 +130,6 @@ class BellOutcome(Enum):
     BUNCH = "bunch"
 
 
-def hwp0(tag: BellState) -> BellState:
-    """HWP(0 deg) on one photon: flips the sign of |V>, toggling psi- <-> psi+."""
-    return BellState.PSI_PLUS if tag is BellState.PSI_MINUS else BellState.PSI_MINUS
-
-
 @dataclass(frozen=True, slots=True)
 class PairState:
     """Two-photon register as amplitudes over |00>, |01>, |10>, |11>."""
@@ -156,10 +141,6 @@ class PairState:
         norm2 = sum(abs(a) ** 2 for a in self.amps)
         if abs(norm2 - 1.0) > ATOL:
             raise ValueError(f"pair state not normalized: |amp|^2 = {norm2!r}")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self.amps, dtype=complex)
 
 
 _PSI_MINUS_PAIR = PairState((0.0, _R, -_R, 0.0))

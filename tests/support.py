@@ -26,3 +26,25 @@ class ScriptedRandom:
         if self._uniforms:
             return self._uniforms.pop(0)
         return self._fallback
+
+
+def played_chunks(config, play=None):
+    """Run ``config`` in-process through ``harness.run`` and return the
+    ``(index, n_rounds, tally)`` of every chunk in the order played, and the
+    run's statistics.  ``play`` stands in for the chunk kernel if given."""
+    import pytest
+
+    from twoway_qkd import harness
+
+    real = play or harness._run_chunk
+    played = []
+
+    def spy(config, index, n_rounds):
+        tally = real(config, index, n_rounds)
+        played.append((index, n_rounds, tally))
+        return tally
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_run_chunk", spy)
+        stats = harness.run(config)
+    return played, stats

@@ -77,11 +77,6 @@ class TestCriticalDisturbance:
         assert bb84_secret_fraction(d - 1e-6) > 0.0
         assert bb84_secret_fraction(d + 1e-6) < 0.0
 
-    def test_coarse_tolerance(self):
-        assert critical_disturbance(tol=1e-6) == pytest.approx(
-            oracles.CRITICAL_DISTURBANCE, abs=1e-5
-        )
-
 
 class TestTwoWayInformation:
     def test_receiver_information_is_flat(self):
@@ -118,6 +113,21 @@ class TestDisturbanceGrid:
         # The one point is within 1e-9 of both ends; it must stay the start.
         grid = disturbance_grid(0.0, 1e-37, 1.0)
         assert list(grid) == [0.0]
+
+    @pytest.mark.parametrize(
+        "start, end, step, points",
+        [(0.0, 5e-10, 1e-10, 6), (0.1, 0.1 + 3e-9, 1e-9, 4)],
+    )
+    def test_steps_below_snapping_distance_keep_distinct_points(
+        self, start, end, step, points
+    ):
+        # Steps at or below the 1e-9 snapping distance: only the last point
+        # may snap, so no two points coincide.
+        grid = disturbance_grid(start, end, step)
+        assert len(grid) == points
+        assert grid[0] == start and grid[-1] == end
+        assert np.all(np.diff(grid) > 0.0)
+        assert np.allclose(np.diff(grid), step, rtol=1e-6, atol=0.0)
 
     def test_non_divisible_span_stops_short(self):
         grid = disturbance_grid(0.0, 0.5, 0.15)

@@ -1,8 +1,11 @@
+import concurrent.futures
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from support import played_chunks
 
 from twoway_qkd.adversaries import AttackConfig, Strategy
 from twoway_qkd.analysis import binary_entropy
@@ -11,8 +14,8 @@ from twoway_qkd.harness import (
     CHUNK_ROUNDS,
     RunStats,
     SimConfig,
-    _chunks,
     _pool_size,
+    _run_chunks,
     run,
 )
 from twoway_qkd.protocols import Tally
@@ -145,30 +148,78 @@ class TestRunStatsDerived:
         ]
 
 
+def lm05_config(rounds):
+    return SimConfig(protocol=Protocol.LM05, rounds=rounds, seed=3, cm_prob=0.5)
+
+
+def plan(rounds):
+    """(index, n_rounds) of each chunk an in-process run plays, in order."""
+    played, _ = played_chunks(lm05_config(rounds))
+    return [(index, n) for index, n, _ in played]
+
+
 class TestChunkPlan:
     def test_exact_multiple(self):
-        plan = _chunks(3 * CHUNK_ROUNDS)
-        assert plan == [(0, CHUNK_ROUNDS), (1, CHUNK_ROUNDS), (2, CHUNK_ROUNDS)]
+        assert plan(3 * CHUNK_ROUNDS) == [
+            (0, CHUNK_ROUNDS),
+            (1, CHUNK_ROUNDS),
+            (2, CHUNK_ROUNDS),
+        ]
 
     def test_remainder(self):
-        plan = _chunks(CHUNK_ROUNDS + 5)
-        assert plan == [(0, CHUNK_ROUNDS), (1, 5)]
+        assert plan(CHUNK_ROUNDS + 5) == [(0, CHUNK_ROUNDS), (1, 5)]
 
     def test_single_short_chunk(self):
-        assert _chunks(3) == [(0, 3)]
+        assert plan(3) == [(0, 3)]
 
     @pytest.mark.parametrize(
-        "rounds", [1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 10000]
+        "rounds",
+        [1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 10000,
+         3 * CHUNK_ROUNDS + 5],
     )
     def test_plan_covers_rounds(self, rounds):
-        plan = _chunks(rounds)
-        assert sum(n for _, n in plan) == rounds
-        assert [i for i, _ in plan] == list(range(len(plan)))
-        stats = run(
-            SimConfig(protocol=Protocol.LM05, rounds=rounds, seed=3, cm_prob=0.5)
-        )
+        played, stats = played_chunks(lm05_config(rounds))
+        assert sum(n for _, n, _ in played) == rounds
+        assert [i for i, _, _ in played] == list(range(len(played)))
         assert stats.rounds == rounds
         assert stats.mm_rounds + stats.cm_rounds == rounds
+
+    def test_pool_gets_a_few_index_ranges_at_any_length(self, monkeypatch):
+        # A million chunks: each pool task must be a (config, first, last)
+        # range, and planning them must not allocate per chunk.
+        tasks = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                assert fn is _run_chunks
+                for args in zip(*iterables):
+                    tasks.append(args)
+                    yield Tally()
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        n = 10**6
+        config = pp_config(rounds=CHUNK_ROUNDS * n)
+        tracemalloc.start()
+        try:
+            run(config, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 <= len(tasks) <= 8 * 2
+        assert all(task[0] is config and task[1] < task[2] for task in tasks)
+        assert tasks[0][1] == 0 and tasks[-1][2] == n
+        assert all(a[2] == b[1] for a, b in zip(tasks, tasks[1:]))
+        assert peak < 2**20
 
 
 class TestDeterminism:

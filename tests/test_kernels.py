@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import oracles
+from support import played_chunks
 from twoway_qkd import protocols
 from twoway_qkd.adversaries import AttackConfig, Strategy
 from twoway_qkd.channel import ChannelConfig, Protocol
-from twoway_qkd.harness import SimConfig, _chunk_rng, _chunks, _run_chunk, run
+from twoway_qkd.harness import SimConfig, _chunk_rng, run
 from twoway_qkd.protocols import CHUNK_KERNELS, ROUND_FUNCTIONS, Tally
 from twoway_qkd.quantum import BellSpanError
 
@@ -141,8 +142,9 @@ def test_reference_matches_closed_forms(case):
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_counter_identities_hold_on_every_chunk(case):
     config = config_of(case, 10 * 4096 + 123)
-    for index, n in _chunks(config.rounds):
-        t = _run_chunk(config, index, n)
+    played, _ = played_chunks(config)
+    assert [index for index, _, _ in played] == list(range(11))
+    for _, n, t in played:
         assert t.rounds == n == t.lost + t.mm_rounds + t.cm_rounds
         assert t.raw_key <= t.mm_rounds
         assert t.mm_errors <= t.raw_key and t.cm_errors <= t.cm_rounds

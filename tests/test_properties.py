@@ -10,11 +10,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from support import played_chunks  # noqa: E402
 
 from twoway_qkd.adversaries import AttackConfig  # noqa: E402
 from twoway_qkd.analysis import disturbance_grid  # noqa: E402
 from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol  # noqa: E402
-from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig, _chunks  # noqa: E402
+from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig  # noqa: E402
 from twoway_qkd.protocols import Tally  # noqa: E402
 
 # Few examples per property keeps the whole suite well inside its time budget.
@@ -60,7 +61,13 @@ class TestChunkPlan:
     @PROPERTY
     @given(st.integers(min_value=1, max_value=50 * CHUNK_ROUNDS))
     def test_plan_covers_rounds(self, rounds):
-        plan = _chunks(rounds)
+        # The kernel is stubbed out: only the plan is under test.
+        played, stats = played_chunks(
+            SimConfig(protocol=Protocol.PP, rounds=rounds),
+            play=lambda config, index, n_rounds: Tally(rounds=n_rounds),
+        )
+        plan = [(index, n) for index, n, _ in played]
+        assert stats.rounds == rounds
         assert [index for index, _ in plan] == list(range(len(plan)))
         assert sum(n for _, n in plan) == rounds
         assert len(plan) == -(-rounds // CHUNK_ROUNDS)
@@ -144,7 +151,22 @@ class TestGridSnapping:
         start, end = min(a, b), max(a, b)
         grid = disturbance_grid(start, end, step)
         assert grid[0] == start
-        assert start <= grid.min() and grid.max() <= end
+        assert start <= min(grid) and max(grid) <= end
+        assert np.all(np.diff(grid) > 0.0)
+
+    @PROPERTY
+    @given(
+        st.floats(min_value=0.0, max_value=0.5),
+        st.floats(min_value=1e-10, max_value=1e-3),
+        st.integers(min_value=0, max_value=200),
+        st.floats(min_value=0.0, max_value=0.999),
+    )
+    def test_tiny_steps_keep_points_distinct(self, start, step, count, part):
+        # Steps at or below the 1e-9 snapping distance must not collapse.
+        end = start + (count + part) * step
+        grid = disturbance_grid(start, end, step)
+        assert grid[0] == start
+        assert start <= min(grid) and max(grid) <= end
         assert np.all(np.diff(grid) > 0.0)
 
     @PROPERTY

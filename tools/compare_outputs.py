@@ -1,0 +1,138 @@
+"""Check that the working tree's CLI output is byte-identical to a git ref's.
+
+Usage: python tools/compare_outputs.py REF
+
+REF is unpacked with ``git archive`` into a temporary directory.  Both trees
+then run the same ``python -m twoway_qkd`` commands, each in its own
+process, two at a time:
+
+* ``simulate`` for the six protocol/attack pairings, q in {0, 0.4, 1} and
+  four channels (lossless; lossy; lossy with dark counts; very lossy with
+  frequent dark counts), as JSON and as CSV, at 9000 rounds;
+* ``analyze --d-grid 0:0.5:0.00001`` and ``table --p-segment 0.37`` in both
+  formats;
+* ``simulate`` at ``--workers 1``, ``2`` and ``3`` for 1, 4095, 4097, 2e5 and
+  1e6 rounds on the three attacked pairings, lossy with dark counts.
+
+Each command's exit code, stdout and stderr must match between the trees,
+and in the working tree the three worker counts must also match each other.
+Exits 0 if everything matches, 1 naming the first command that differs, and
+2 if REF cannot be unpacked.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PAIRINGS = [
+    ("bb84", "none"),
+    ("bb84", "intercept-resend"),
+    ("pp", "none"),
+    ("pp", "nguyen"),
+    ("lm05", "none"),
+    ("lm05", "lucamarini"),
+]
+ATTACKED = [pairing for pairing in PAIRINGS if pairing[1] != "none"]
+# (p_segment, dark_count_prob)
+CHANNELS = [("1", "0"), ("0.8", "0"), ("0.7", "0.05"), ("0.3", "0.6")]
+WORKERS = ("1", "2", "3")
+JOBS = 2
+
+
+def simulate(protocol, attack, *options):
+    cm_prob = "0" if protocol == "bb84" else "0.3"
+    return ["simulate", "--protocol", protocol, "--attack", attack,
+            "--cm-prob", cm_prob, *options]
+
+
+def sweep() -> list[list[str]]:
+    commands = [
+        simulate(protocol, attack, "--q", q, "--rounds", "9000", "--seed", "11",
+                 "--p-segment", p, "--dark-count-prob", dark, "--format", fmt)
+        for protocol, attack in PAIRINGS
+        for q in ("0", "0.4", "1")
+        for p, dark in CHANNELS
+        for fmt in ("json", "csv")
+    ]
+    for fmt in ("json", "csv"):
+        commands.append(["analyze", "--d-grid", "0:0.5:0.00001", "--format", fmt])
+        commands.append(["table", "--p-segment", "0.37", "--format", fmt])
+    return commands
+
+
+def worker_cases() -> list[list[list[str]]]:
+    """Groups of commands that differ only in ``--workers``."""
+    return [
+        [simulate(protocol, attack, "--q", "0.5", "--rounds", rounds, "--seed", "5",
+                  "--p-segment", "0.9", "--dark-count-prob", "0.01",
+                  "--format", "csv", "--workers", workers)
+         for workers in WORKERS]
+        for protocol, attack in ATTACKED
+        for rounds in ("1", "4095", "4097", "200000", "1000000")
+    ]
+
+
+def outputs(tree: Path, commands) -> list[tuple[int, str, str]]:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+
+    def one(argv):
+        result = subprocess.run([sys.executable, "-m", "twoway_qkd", *argv],
+                                cwd=tree, env=env, capture_output=True, text=True)
+        return result.returncode, result.stdout, result.stderr
+
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        return list(pool.map(one, commands))
+
+
+def unpack(ref: str, into: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref", help="git ref to compare against, e.g. HEAD~1")
+    args = parser.parse_args(argv)
+
+    groups = worker_cases()
+    commands = sweep() + [command for group in groups for command in group]
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            unpack(args.ref, Path(tmp))
+        except subprocess.CalledProcessError as exc:
+            reason = (exc.stderr or b"").decode().strip() or exc
+            print(f"error: cannot unpack {args.ref!r}: {reason}", file=sys.stderr)
+            return 2
+        ref_out = outputs(Path(tmp), commands)
+    new_out = outputs(ROOT, commands)
+
+    by_command = {}
+    for command, old, new in zip(commands, ref_out, new_out):
+        if old != new:
+            print(f"differs from {args.ref}: twoway-qkd {' '.join(command)}")
+            return 1
+        by_command[tuple(command)] = new
+    for group in groups:
+        first = by_command[tuple(group[0])]
+        for command in group[1:]:
+            if by_command[tuple(command)] != first:
+                print(f"differs from --workers 1: twoway-qkd {' '.join(command)}")
+                return 1
+    size = sum(len(out) + len(err) for _, out, err in new_out)
+    failed = sum(code != 0 for code, _, _ in new_out)
+    print(f"{len(commands)} commands byte-identical to {args.ref} "
+          f"({size:,} bytes of output, {failed} nonzero exits)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
