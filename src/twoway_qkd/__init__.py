@@ -14,38 +14,40 @@ The round-by-round reference model the chunk kernels are tested against
 
 __version__ = "0.1.0"
 
-from .adversaries import AttackConfig, Strategy
-from .analysis import (
-    bb84_mutual_information,
-    bb84_secret_fraction,
-    binary_entropy,
-    critical_disturbance,
-    disturbance_grid,
-    information_table,
-    protocol_comparison,
-    twoway_mutual_information,
-    twoway_secret_fraction,
-)
-from .channel import ChannelConfig, ConfigError, Protocol
-from .harness import RunStats, SimConfig, run
+import importlib
 
-__all__ = [
-    "AttackConfig",
-    "ChannelConfig",
-    "ConfigError",
-    "Protocol",
-    "RunStats",
-    "SimConfig",
-    "Strategy",
-    "bb84_mutual_information",
-    "bb84_secret_fraction",
-    "binary_entropy",
-    "critical_disturbance",
-    "disturbance_grid",
-    "information_table",
-    "protocol_comparison",
-    "run",
-    "twoway_mutual_information",
-    "twoway_secret_fraction",
-    "__version__",
-]
+# Public name -> the module that defines it.  Each is imported on first
+# access, so ``import twoway_qkd`` loads no numpy until the engine is used.
+_HOMES = {
+    "AttackConfig": "adversaries",
+    "ChannelConfig": "channel",
+    "ConfigError": "channel",
+    "Protocol": "channel",
+    "RunStats": "harness",
+    "SimConfig": "harness",
+    "Strategy": "channel",
+    "bb84_mutual_information": "analysis",
+    "bb84_secret_fraction": "analysis",
+    "binary_entropy": "analysis",
+    "critical_disturbance": "analysis",
+    "disturbance_grid": "analysis",
+    "information_table": "analysis",
+    "protocol_comparison": "analysis",
+    "run": "harness",
+    "twoway_mutual_information": "analysis",
+    "twoway_secret_fraction": "analysis",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 
-from .channel import ConfigError, Protocol
+from .channel import ConfigError, Protocol, Strategy
 from .quantum import (
     Basis,
     BellOutcome,
@@ -35,13 +34,6 @@ from .quantum import (
     measure,
     prepare_bell,
 )
-
-
-class Strategy(Enum):
-    NONE = "none"
-    INTERCEPT_RESEND = "intercept-resend"
-    NGUYEN = "nguyen"
-    LUCAMARINI = "lucamarini"
 
 
 # Which attacks make sense against which protocol.  The transparent attacks

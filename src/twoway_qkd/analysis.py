@@ -78,11 +78,13 @@ def critical_disturbance() -> float:
 def disturbance_grid(start: float, end: float, step: float) -> list[float]:
     """Inclusive arithmetic grid ``start + k * step`` with end snapping.
 
-    The first point is ``start`` exactly.  Float error in start + n*step can
-    push the nominal end just outside the curves' domain (0.5 + 5e-17, say),
-    so a last point after the first that lies within 1e-9 of ``end`` is
-    snapped onto it; no other point moves, so the grid stays strictly
-    increasing at any step.  Non-finite arguments and grids of more than
+    The first point is ``start`` exactly.  The point count rounds the span
+    in steps, less one if that last point would lie more than 1e-9 past
+    ``end``.  Float error in start + n*step can push the nominal end just
+    outside the curves' domain (0.5 + 5e-17, say), so a last point after the
+    first that lies within 1e-9 of ``end`` is snapped onto it; no other point
+    moves, so the grid stays strictly increasing at any step and never
+    leaves [start, end].  Non-finite arguments and grids of more than
     ``MAX_GRID_POINTS`` points are rejected.
     """
     if not all(math.isfinite(v) for v in (start, end, step)):
@@ -95,8 +97,8 @@ def disturbance_grid(start: float, end: float, step: float) -> list[float]:
     if not span <= MAX_GRID_POINTS - 1:  # also catches overflow to inf
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
     n = int(round(span))
-    if abs(start + n * step - end) > 1e-9:
-        n = int(math.floor((end - start) / step + 1e-9))
+    if start + step * n - end > 1e-9:
+        n -= 1
     # Point 0 is ``start`` itself: start + 0.0 would turn -0.0 into 0.0.
     grid = [start, *(start + step * k for k in range(1, n + 1))]
     if n and abs(grid[-1] - end) <= 1e-9:

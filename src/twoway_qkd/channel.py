@@ -5,6 +5,9 @@ per-segment transmission probability once per channel pass (one pass for a
 prepare-and-measure scheme, two for a single-photon round trip, four when an
 entangled pair makes the trip), and the harness spends a single uniform draw
 per round against that compounded probability.
+
+The :class:`Protocol` and :class:`Strategy` enumerations live here too, so
+that the command line can name its choices without importing the engine.
 """
 
 from __future__ import annotations
@@ -34,6 +37,15 @@ class Protocol(Enum):
 
 
 _PASSES = {Protocol.BB84: 1, Protocol.PP: 4, Protocol.LM05: 2}
+
+
+class Strategy(Enum):
+    """Eve's attack; :mod:`twoway_qkd.adversaries` says which protocol each fits."""
+
+    NONE = "none"
+    INTERCEPT_RESEND = "intercept-resend"
+    NGUYEN = "nguyen"
+    LUCAMARINI = "lucamarini"
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,7 +4,8 @@ Three subcommands: ``simulate`` runs the round-level simulator and reports
 run statistics, ``analyze`` tabulates the closed-form information curves
 over a disturbance grid, and ``table`` prints the protocol comparison.
 Every subcommand writes CSV (with ``#``-prefixed metadata lines) or JSON to
-stdout or to ``--output``.
+stdout or to ``--output``.  Only ``simulate`` imports the engine, and with
+it numpy.
 
 Exit codes: 0 on success, 2 for command-line usage errors, 3 for
 configurations the model rejects, 4 for output I/O failures.
@@ -17,15 +18,13 @@ import json
 import sys
 
 from . import __version__
-from .adversaries import AttackConfig, Strategy
 from .analysis import (
     critical_disturbance,
     disturbance_grid,
     information_table,
     protocol_comparison,
 )
-from .channel import ChannelConfig, ConfigError, Protocol
-from .harness import SimConfig, run
+from .channel import ChannelConfig, ConfigError, Protocol, Strategy
 
 EXIT_CONFIG = 3
 EXIT_IO = 4
@@ -144,7 +143,11 @@ def _emit(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    config = SimConfig(
+    # The engine (and numpy) loads here, in the parent, before any pool forks.
+    from . import harness
+    from .adversaries import AttackConfig
+
+    config = harness.SimConfig(
         protocol=Protocol(args.protocol),
         rounds=args.rounds,
         seed=args.seed,
@@ -156,7 +159,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
             dark_count_prob=args.dark_count_prob,
         ),
     )
-    stats = run(config, workers=args.workers)
+    stats = harness.run(config, workers=args.workers)
     return _emit(args.format, config.as_dict(), "stats", stats.as_dict())
 
 

@@ -129,6 +129,10 @@ class TestDisturbanceGrid:
         assert np.all(np.diff(grid) > 0.0)
         assert np.allclose(np.diff(grid), step, rtol=1e-6, atol=0.0)
 
+    def test_large_step_never_passes_the_end(self):
+        # 100 lands 1e-8 past END, too far to snap, so it is not a point.
+        assert disturbance_grid(0.0, 99.99999999, 100.0) == [0.0]
+
     def test_non_divisible_span_stops_short(self):
         grid = disturbance_grid(0.0, 0.5, 0.15)
         assert np.allclose(grid, [0.0, 0.15, 0.3, 0.45])

@@ -330,3 +330,71 @@ class TestEntrypoints:
         )
         assert result.returncode == 0
         assert __version__ in result.stdout
+
+
+# Loaded by ``simulate`` only: the engine and everything it imports.
+ENGINE = ("numpy", "twoway_qkd.adversaries", "twoway_qkd.harness",
+          "twoway_qkd.protocols", "twoway_qkd.quantum")
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter, so ``sys.modules`` starts empty."""
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], capture_output=True, text=True
+    )
+
+
+class TestImportFloor:
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "import twoway_qkd",
+            "import twoway_qkd.cli",
+            "from twoway_qkd.cli import main; main(['--version'])",
+            "from twoway_qkd.cli import main; main(['table'])",
+            "from twoway_qkd.cli import main; main(['analyze', '--d-grid', '0:0.5:0.1'])",
+        ],
+    )
+    def test_only_simulate_loads_the_engine(self, statement):
+        result = run_fresh(f"""
+            import sys
+            try:
+                {statement}
+            except SystemExit as exc:  # --version exits through argparse
+                assert exc.code == 0, exc.code
+            print(sorted(set({ENGINE!r}) & set(sys.modules)), file=sys.stderr)
+        """)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.strip() == "[]"
+
+    def test_pool_starts_after_the_engine_and_before_numpy_random(self):
+        # The parent imports the engine before the pool forks, so workers
+        # share its numpy instead of each importing it, which costs peak
+        # RSS; numpy.random is left for each worker's first chunk.
+        result = run_fresh("""
+            import concurrent.futures, os, sys
+            from twoway_qkd.cli import main
+
+            class StandInPool:
+                def __init__(self, max_workers):
+                    seen = ("numpy", "numpy.random", "twoway_qkd.protocols")
+                    loaded = [name for name in seen if name in sys.modules]
+                    print(max_workers, loaded, file=sys.stderr)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return False
+
+                def map(self, fn, *iterables):
+                    return map(fn, *iterables)
+
+            concurrent.futures.ProcessPoolExecutor = StandInPool
+            os.cpu_count = lambda: 2
+            sys.exit(main(["simulate", "--protocol", "pp", "--attack", "nguyen",
+                           "--rounds", "20000", "--workers", "2"]))
+        """)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.strip() == "2 ['numpy', 'twoway_qkd.protocols']"
+        assert json.loads(result.stdout)["stats"]["rounds"] == 20000

@@ -145,7 +145,7 @@ class TestGridSnapping:
     @given(
         st.floats(min_value=0.0, max_value=0.5),
         st.floats(min_value=0.0, max_value=0.5),
-        st.floats(min_value=1e-4, max_value=1.0),
+        st.floats(min_value=1e-4, max_value=1e3),
     )
     def test_grid_never_leaves_its_bounds(self, a, b, step):
         start, end = min(a, b), max(a, b)
@@ -168,6 +168,23 @@ class TestGridSnapping:
         assert grid[0] == start
         assert start <= min(grid) and max(grid) <= end
         assert np.all(np.diff(grid) > 0.0)
+
+    @PROPERTY
+    @given(
+        st.floats(min_value=0.0, max_value=1e3),
+        st.floats(min_value=1.0, max_value=1e3),
+        st.integers(min_value=1, max_value=50),
+        st.floats(min_value=1e-9, max_value=1e-6),
+    )
+    def test_end_just_short_of_a_large_step_is_not_passed(self, start, step, count, short):
+        # The last full step lands up to 1e-6 past END: it must be dropped,
+        # unless it is within the 1e-9 snapping distance.
+        end = start + count * step - short
+        grid = disturbance_grid(start, end, step)
+        assert grid[0] == start
+        assert max(grid) <= end
+        assert len(grid) in (count, count + 1)
+        assert grid[-1] == end or end - grid[-1] > step / 2
 
     @PROPERTY
     @given(

@@ -12,12 +12,17 @@ process, two at a time:
 * ``analyze --d-grid 0:0.5:0.00001`` and ``table --p-segment 0.37`` in both
   formats;
 * ``simulate`` at ``--workers 1``, ``2`` and ``3`` for 1, 4095, 4097, 2e5 and
-  1e6 rounds on the three attacked pairings, lossy with dark counts.
+  1e6 rounds on the three attacked pairings, lossy with dark counts;
+* ``--version``, and commands that end in each documented non-zero exit
+  code: 2 (``--workers 0``), 3 (an attack foreign to the protocol, ``--q 2``,
+  a non-finite ``--d-grid``, ``table --p-segment 0``) and 4 (``--output``
+  into a directory that does not exist).
 
 Each command's exit code, stdout and stderr must match between the trees,
-and in the working tree the three worker counts must also match each other.
-Exits 0 if everything matches, 1 naming the first command that differs, and
-2 if REF cannot be unpacked.
+in the working tree the three worker counts must also match each other, and
+each error-path command must end in its documented exit code.  Exits 0 if
+everything matches, 1 naming the first command that differs, and 2 if REF
+cannot be unpacked.
 """
 
 from __future__ import annotations
@@ -80,6 +85,19 @@ def worker_cases() -> list[list[list[str]]]:
     ]
 
 
+def error_paths() -> list[tuple[list[str], int]]:
+    """``--version`` and each documented non-zero exit, with its exit code."""
+    return [
+        (["--version"], 0),
+        (simulate("pp", "nguyen", "--rounds", "10", "--workers", "0"), 2),
+        (simulate("bb84", "nguyen", "--rounds", "10"), 3),
+        (simulate("pp", "nguyen", "--rounds", "10", "--q", "2"), 3),
+        (["analyze", "--d-grid", "0:inf:0.1"], 3),
+        (["table", "--p-segment", "0"], 3),
+        (simulate("pp", "nguyen", "--rounds", "10", "--output", "no-such-dir/out"), 4),
+    ]
+
+
 def outputs(tree: Path, commands) -> list[tuple[int, str, str]]:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
 
@@ -104,7 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     groups = worker_cases()
-    commands = sweep() + [command for group in groups for command in group]
+    errors = error_paths()
+    commands = (sweep() + [command for group in groups for command in group]
+                + [command for command, _ in errors])
     with tempfile.TemporaryDirectory() as tmp:
         try:
             unpack(args.ref, Path(tmp))
@@ -127,6 +147,10 @@ def main(argv: list[str] | None = None) -> int:
             if by_command[tuple(command)] != first:
                 print(f"differs from --workers 1: twoway-qkd {' '.join(command)}")
                 return 1
+    for command, code in errors:
+        if by_command[tuple(command)][0] != code:
+            print(f"exit code is not {code}: twoway-qkd {' '.join(command)}")
+            return 1
     size = sum(len(out) + len(err) for _, out, err in new_out)
     failed = sum(code != 0 for code, _, _ in new_out)
     print(f"{len(commands)} commands byte-identical to {args.ref} "
