@@ -17,8 +17,10 @@ well-separated streams from (seed, chunk index).
 
 from __future__ import annotations
 
+import atexit
 import numbers
 import os
+import threading
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -120,6 +122,40 @@ def _run_chunks(config: SimConfig, first: int, last: int) -> Tally:
     )
 
 
+# The pool kept between runs, as (key, executor), or None before the first.
+# Pooled runs hold the lock, so no thread replaces a pool another is using.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _close_pool() -> None:
+    """Shut the kept pool down and forget it; also run at interpreter exit,
+    while the modules its shutdown needs are still loaded."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown(cancel_futures=True)
+
+
+atexit.register(_close_pool)
+
+
+def _process_pool(workers: int):
+    """The kept pool of ``workers`` processes, started on first use."""
+    global _pool
+    # Forked workers are a snapshot of this module as it was at the fork.
+    # Whoever replaces _run_chunk or _chunk_rng (a tracer, a test) needs
+    # workers that play the replacement, so the pool is keyed on them.
+    key = (workers, _run_chunk, _chunk_rng)
+    if _pool is not None and (_pool[0] != key or _pool[1]._broken):
+        _close_pool()  # before the new pool forks, with no manager thread alive
+    if _pool is None:
+        from concurrent.futures import ProcessPoolExecutor
+
+        _pool = (key, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
 def run(config: SimConfig, workers: int = 1) -> RunStats:
     """Execute a run and return its merged statistics.
 
@@ -129,16 +165,20 @@ def run(config: SimConfig, workers: int = 1) -> RunStats:
     in-process, starts no pool and imports no :mod:`multiprocessing`.  A
     pool gets about four contiguous ranges of chunk indices per worker.
     Neither schedule builds a per-chunk plan, so memory does not grow with
-    ``config.rounds``.
+    ``config.rounds``.  The pool is kept for the next run of this process
+    and shut down at exit; a pool that a run saw fail is not reused.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    if not isinstance(workers, numbers.Integral) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     n = -(-config.rounds // CHUNK_ROUNDS)
-    workers = _pool_size(workers, n)
+    workers = _pool_size(int(workers), n)
     if workers == 1:
         return _run_chunks(config, 0, n)
-    from concurrent.futures import ProcessPoolExecutor
-
     firsts = range(0, n, max(1, n // (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _merged(pool.map(_run_chunks, repeat(config), firsts, [*firsts[1:], n]))
+    with _pool_lock:
+        pool = _process_pool(workers)
+        try:
+            return _merged(pool.map(_run_chunks, repeat(config), firsts, [*firsts[1:], n]))
+        except BaseException:
+            _close_pool()
+            raise

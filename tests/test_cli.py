@@ -381,14 +381,11 @@ class TestImportFloor:
                     loaded = [name for name in seen if name in sys.modules]
                     print(max_workers, loaded, file=sys.stderr)
 
-                def __enter__(self):
-                    return self
-
-                def __exit__(self, *exc):
-                    return False
-
                 def map(self, fn, *iterables):
                     return map(fn, *iterables)
+
+                def shutdown(self, wait=True, *, cancel_futures=False):
+                    pass
 
             concurrent.futures.ProcessPoolExecutor = StandInPool
             os.cpu_count = lambda: 2

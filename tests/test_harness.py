@@ -1,12 +1,19 @@
 import concurrent.futures
+import functools
 import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from support import played_chunks
 
+from twoway_qkd import harness
 from twoway_qkd.adversaries import AttackConfig, Strategy
 from twoway_qkd.analysis import binary_entropy
 from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol
@@ -148,6 +155,15 @@ class TestRunStatsDerived:
         ]
 
 
+@pytest.fixture
+def no_kept_pool():
+    """Start and end with no kept pool, so a stand-in pool is the one built
+    and is not left behind for later runs."""
+    harness._close_pool()
+    yield
+    harness._close_pool()
+
+
 def lm05_config(rounds):
     return SimConfig(protocol=Protocol.LM05, rounds=rounds, seed=3, cm_prob=0.5)
 
@@ -184,7 +200,7 @@ class TestChunkPlan:
         assert stats.rounds == rounds
         assert stats.mm_rounds + stats.cm_rounds == rounds
 
-    def test_pool_gets_a_few_index_ranges_at_any_length(self, monkeypatch):
+    def test_pool_gets_a_few_index_ranges_at_any_length(self, monkeypatch, no_kept_pool):
         # A million chunks: each pool task must be a (config, first, last)
         # range, and planning them must not allocate per chunk.
         tasks = []
@@ -193,11 +209,8 @@ class TestChunkPlan:
             def __init__(self, max_workers):
                 assert max_workers == 2
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
 
             def map(self, fn, *iterables):
                 assert fn is _run_chunks
@@ -262,6 +275,17 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             run(pp_config(rounds=10), workers=0)
 
+    @pytest.mark.parametrize("workers", [1.5, 2.5, 2.0, True, False, "2", None, -1])
+    def test_workers_must_be_a_positive_int(self, workers, monkeypatch, no_kept_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            run(pp_config(rounds=3 * CHUNK_ROUNDS), workers=workers)
+        assert harness._pool is None
+
+    def test_numpy_integer_workers(self):
+        config = pp_config(rounds=2 * CHUNK_ROUNDS)
+        assert run(config, workers=np.int64(2)) == run(config)
+
 
 def test_pool_size_is_capped_by_chunks_and_cpus():
     # Checked through the pure helper only; no pool is started.
@@ -300,3 +324,127 @@ class TestRunStatistics:
         assert abs(stats.eve_known_fraction - 0.3) < 3 * sigma
         assert stats.l_final == stats.raw_key - stats.eve_mm_correct
         assert stats.i_ae_emp == stats.eve_known_fraction
+
+
+PAIRINGS = [
+    (Protocol.BB84, Strategy.NONE),
+    (Protocol.BB84, Strategy.INTERCEPT_RESEND),
+    (Protocol.PP, Strategy.NONE),
+    (Protocol.PP, Strategy.NGUYEN),
+    (Protocol.LM05, Strategy.NONE),
+    (Protocol.LM05, Strategy.LUCAMARINI),
+]
+
+
+def lossy_config(protocol, strategy, rounds, seed=21):
+    return SimConfig(
+        protocol=protocol,
+        rounds=rounds,
+        seed=seed,
+        attack=AttackConfig(strategy=strategy, q=0.5),
+        cm_prob=0.0 if protocol is Protocol.BB84 else 0.25,
+        channel=ChannelConfig(p_segment=0.8, dark_count_prob=0.01),
+    )
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs whatever the host has, so workers=2 starts a real pool."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def kept_pool():
+    return harness._pool[1]
+
+
+class TestKeptPool:
+    def test_one_pool_serves_a_sequence_of_configs(self, two_cpus):
+        configs = [lossy_config(protocol, strategy, rounds)
+                   for rounds in (4097, 20_000) for protocol, strategy in PAIRINGS]
+        pooled = []
+        for config in configs:
+            pooled.append(run(config, workers=2).as_dict())
+            if len(pooled) == 1:
+                first = kept_pool()
+            assert kept_pool() is first
+        assert pooled == [run(config, workers=1).as_dict() for config in configs]
+
+    def test_a_replaced_chunk_function_gets_fresh_workers(self, two_cpus, monkeypatch):
+        config = lossy_config(Protocol.LM05, Strategy.LUCAMARINI, 20_000)
+        plain = run(config, workers=2)
+        old = kept_pool()
+        original = harness._run_chunk
+
+        @functools.wraps(original)
+        def marked(*args):
+            tally = original(*args)
+            tally.lost += 1000
+            return tally
+
+        monkeypatch.setattr(harness, "_run_chunk", marked)
+        stats = run(config, workers=2)
+        assert stats.lost == plain.lost + 1000 * 5
+        assert old._processes is None  # shut down before the new pool forked
+        monkeypatch.setattr(harness, "_run_chunk", original)
+        assert run(config, workers=2) == plain
+
+    def test_a_pool_broken_between_runs_is_replaced(self, two_cpus):
+        config = lossy_config(Protocol.PP, Strategy.NGUYEN, 20_000)
+        expected = run(config, workers=1)
+        assert run(config, workers=2) == expected
+        pool = kept_pool()
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken:
+            assert time.monotonic() < deadline, "the pool never saw its worker die"
+            time.sleep(0.01)
+        assert run(config, workers=2) == expected
+        assert kept_pool() is not pool
+
+    def test_a_worker_dying_mid_run_raises_and_drops_the_pool(self, two_cpus, monkeypatch):
+        config = lossy_config(Protocol.BB84, Strategy.INTERCEPT_RESEND, 20_000)
+        parent = os.getpid()
+        original = harness._run_chunk
+
+        def die(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_run_chunk", die)
+        with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+            run(config, workers=2)
+        assert harness._pool is None
+        monkeypatch.setattr(harness, "_run_chunk", original)
+        assert run(config, workers=2) == run(config, workers=1)
+
+    def test_threads_share_the_pool_safely(self, monkeypatch):
+        # Four threads at two worker counts: each run must get its own
+        # statistics even as the other count replaces the pool.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        configs = [lossy_config(protocol, strategy, 20_000, seed=seed)
+                   for seed, (protocol, strategy) in enumerate(PAIRINGS[:4])]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as threads:
+            pooled = list(threads.map(
+                lambda config: [run(config, workers=w) for w in (2, 3, 2, 3)], configs
+            ))
+        assert pooled == [[run(config, workers=1)] * 4 for config in configs]
+
+    def test_interpreter_exits_cleanly_with_a_kept_pool(self):
+        # The main module holds harness, so its pool outlives the teardown
+        # of concurrent.futures unless it is shut down at exit.
+        script = textwrap.dedent("""
+            import os
+            os.cpu_count = lambda: 2
+            from twoway_qkd import harness
+            from twoway_qkd.adversaries import AttackConfig, Strategy
+            from twoway_qkd.channel import Protocol
+            config = harness.SimConfig(
+                protocol=Protocol.PP, rounds=20000, seed=4, cm_prob=0.25,
+                attack=AttackConfig(strategy=Strategy.NGUYEN, q=0.5))
+            first, second = harness.run(config, workers=2), harness.run(config, workers=2)
+            assert first == second == harness.run(config)
+        """)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stderr == ""

@@ -20,7 +20,11 @@ process, two at a time:
 
 Each command's exit code, stdout and stderr must match between the trees,
 in the working tree the three worker counts must also match each other, and
-each error-path command must end in its documented exit code.  Exits 0 if
+each error-path command must end in its documented exit code.  Then each
+tree runs every ``simulate`` command above at ``--workers 2`` through one
+interpreter's ``cli.main``, one after another, so that one process pool
+serves them all; each output must match that tree's per-process output,
+and the interpreter must exit 0 with nothing else on stderr.  Exits 0 if
 everything matches, 1 naming the first command that differs, and 2 if REF
 cannot be unpacked.
 """
@@ -28,6 +32,7 @@ cannot be unpacked.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -110,6 +115,39 @@ def outputs(tree: Path, commands) -> list[tuple[int, str, str]]:
         return list(pool.map(one, commands))
 
 
+IN_PROCESS = """
+import contextlib, io, json, sys
+from twoway_qkd.cli import main
+
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def pooled_cases(commands, groups) -> list[tuple[list[str], list[str]]]:
+    """(command run in-process at ``--workers 2``, per-process command whose
+    output it must equal) for every ``simulate`` command."""
+    cases = [(command + ["--workers", "2"], command)
+             for command in commands if command[0] == "simulate"]
+    return cases + [(group[1], group[1]) for group in groups]
+
+
+def in_process(tree: Path, commands) -> list[tuple[int, str, str]] | str:
+    """Outputs of ``commands`` run in turn through one interpreter's
+    ``cli.main``, or what went wrong with that interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    result = subprocess.run([sys.executable, "-c", IN_PROCESS], cwd=tree, env=env,
+                            input=json.dumps(commands), capture_output=True, text=True)
+    if result.returncode != 0 or result.stderr:
+        return f"exit {result.returncode}, stderr {result.stderr[-2000:]!r}"
+    return [tuple(output) for output in json.loads(result.stdout)]
+
+
 def unpack(ref: str, into: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
                              capture_output=True, check=True).stdout
@@ -123,8 +161,11 @@ def main(argv: list[str] | None = None) -> int:
 
     groups = worker_cases()
     errors = error_paths()
-    commands = (sweep() + [command for group in groups for command in group]
+    simple = sweep()
+    commands = (simple + [command for group in groups for command in group]
                 + [command for command, _ in errors])
+    pooled = pooled_cases(simple, groups)
+    pooled_commands = [command for command, _ in pooled]
     with tempfile.TemporaryDirectory() as tmp:
         try:
             unpack(args.ref, Path(tmp))
@@ -133,7 +174,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot unpack {args.ref!r}: {reason}", file=sys.stderr)
             return 2
         ref_out = outputs(Path(tmp), commands)
+        ref_pooled = in_process(Path(tmp), pooled_commands)
     new_out = outputs(ROOT, commands)
+    new_pooled = in_process(ROOT, pooled_commands)
 
     by_command = {}
     for command, old, new in zip(commands, ref_out, new_out):
@@ -151,10 +194,23 @@ def main(argv: list[str] | None = None) -> int:
         if by_command[tuple(command)][0] != code:
             print(f"exit code is not {code}: twoway-qkd {' '.join(command)}")
             return 1
+    for tree, out, pooled_out in ((args.ref, ref_out, ref_pooled),
+                                  ("the working tree", new_out, new_pooled)):
+        if isinstance(pooled_out, str):
+            print(f"in-process pass failed in {tree}: {pooled_out}")
+            return 1
+        per_process = {tuple(command): output for command, output in zip(commands, out)}
+        for (command, expected), output in zip(pooled, pooled_out):
+            if output != per_process[tuple(expected)]:
+                print(f"in-process run differs from its own process in {tree}: "
+                      f"twoway-qkd {' '.join(command)}")
+                return 1
     size = sum(len(out) + len(err) for _, out, err in new_out)
     failed = sum(code != 0 for code, _, _ in new_out)
     print(f"{len(commands)} commands byte-identical to {args.ref} "
-          f"({size:,} bytes of output, {failed} nonzero exits)")
+          f"({size:,} bytes of output, {failed} nonzero exits); "
+          f"{len(pooled)} simulate commands at --workers 2 in one interpreter "
+          f"byte-identical to their own processes in both trees")
     return 0
 
 
