@@ -8,8 +8,8 @@ closed-form layer supplies the mutual-information curves and the critical
 disturbance the baseline is judged against.
 
 The round-by-round reference model the chunk kernels are tested against
-(:mod:`.quantum`, ``protocols.ROUND_FUNCTIONS`` and the attack machines in
-:mod:`.adversaries`) is importable from those modules, not from here.
+(:mod:`.quantum` and ``protocols.ROUND_FUNCTIONS``) is importable from
+those modules, not from here.
 """
 
 __version__ = "0.1.0"

@@ -197,6 +197,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         if args.output is None:
+            if sys.stdout is None:  # started with file descriptor 1 closed
+                raise OSError("standard output is closed")
             sys.stdout.write(text)
         else:
             with open(args.output, "w", encoding="utf-8") as handle:

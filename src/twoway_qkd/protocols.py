@@ -52,11 +52,11 @@ Then the body, attack rows included whether or not Eve is present:
 Reference model
 ---------------
 :data:`ROUND_FUNCTIONS` plays one round at a time with the :mod:`quantum`
-state objects and the :mod:`adversaries` attack machines, drawing from a
-:class:`random.Random`: steps 1-3 above as single draws (the dark-count
-coin only on a lost round), then the protocol's draws in channel order,
-each spent only when the round reaches it.  It is the readable statement of
-the physics; nothing on the run path calls it.
+state objects, drawing from a :class:`random.Random`: steps 1-3 above as
+single draws (the dark-count coin only on a lost round), then the
+protocol's draws in channel order, Eve's included, each spent only when the
+round reaches it.  Each round body plays its attack inline.  It is the
+readable statement of the physics; nothing on the run path calls it.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adversaries import InterceptResend, LucamariniAttack, NguyenAttack, Strategy
 from .analysis import binary_entropy
-from .channel import Protocol
+from .channel import Protocol, Strategy
 from .quantum import (
     _R,
     ATOL,
@@ -467,15 +466,16 @@ def _bb84(rng: random.Random, cm: bool, dark: bool, eve: bool):
 
     state = a_basis.eigenstate(a_bit)
     if eve:
-        attack = InterceptResend()
-        state = attack.intercept(state, rng)
+        # Eve measures in a random basis and resends the eigenstate she read.
+        e_basis = _Z if rng.getrandbits(1) == 0 else _X
+        e_bit, state = measure(state, e_basis, rng.random())
 
     b_basis = _Z if rng.getrandbits(1) == 0 else _X
     b_bit, _ = measure(state, b_basis, rng.random())
 
     if a_basis is not b_basis:
         return None
-    return b_bit != a_bit, eve and attack.bit == a_bit
+    return b_bit != a_bit, eve and e_bit == a_bit
 
 
 def _pp(rng: random.Random, cm: bool, dark: bool, eve: bool):
@@ -494,11 +494,9 @@ def _pp(rng: random.Random, cm: bool, dark: bool, eve: bool):
         return rng.getrandbits(1) != rng.getrandbits(1), False
 
     pair = prepare_bell(BellState.PSI_MINUS)
-    if eve:
-        attack = NguyenAttack()
-        alice_pair = attack.seize(pair)
-    else:
-        alice_pair = pair
+    # Under attack Eve withholds Bob's pair, intact, and sends Alice the
+    # travel photon of a fresh psi- probe pair instead.
+    alice_pair = prepare_bell(BellState.PSI_MINUS) if eve else pair
 
     if cm:
         a_bit, remainder = measure_photon(alice_pair, 2, _Z, rng.random())
@@ -512,12 +510,15 @@ def _pp(rng: random.Random, cm: bool, dark: bool, eve: bool):
     encoded = half_wave_plate(alice_pair, 2) if a_bit else alice_pair
 
     if eve:
-        attack.read_return(encoded, rng)
-        encoded = attack.replay()
+        # She holds both probe photons, so a Bell analysis reads the encoding
+        # with certainty; she replays it on the withheld pair and releases it.
+        outcome = bell_measure(encoded, rng.random())
+        e_bit = 0 if outcome is BellOutcome.SPLIT else 1
+        encoded = half_wave_plate(pair, 2) if e_bit else pair
 
     outcome = bell_measure(encoded, rng.random())
     b_bit = 0 if outcome is BellOutcome.SPLIT else 1
-    return b_bit != a_bit, eve and attack.bit == a_bit
+    return b_bit != a_bit, eve and e_bit == a_bit
 
 
 def _lm05(rng: random.Random, cm: bool, dark: bool, eve: bool):
@@ -541,8 +542,11 @@ def _lm05(rng: random.Random, cm: bool, dark: bool, eve: bool):
 
     state = prep_basis.eigenstate(prep_bit)
     if eve:
-        attack = LucamariniAttack()
-        alice_state = attack.seize(state, rng)
+        # Eve stores Bob's qubit and sends Alice a decoy in a random basis
+        # and bit of her own choosing.
+        decoy_bit = rng.getrandbits(1)
+        decoy_basis = _Z if rng.getrandbits(1) == 0 else _X
+        alice_state = decoy_basis.eigenstate(decoy_bit)
     else:
         alice_state = state
 
@@ -555,11 +559,14 @@ def _lm05(rng: random.Random, cm: bool, dark: bool, eve: bool):
     encoded = apply_pauli(PauliOp.IY, alice_state) if a_bit else alice_state
 
     if eve:
-        attack.read_return(encoded, rng)
-        encoded = attack.replay()
+        # The flip preserves the basis of all four states, so the returned
+        # decoy, measured in its own basis, reads the encoding with
+        # certainty; she replays it on the stored qubit.
+        e_bit = measure(encoded, decoy_basis, rng.random())[0] ^ decoy_bit
+        encoded = apply_pauli(PauliOp.IY, state) if e_bit else state
 
     m, _ = measure(encoded, prep_basis, rng.random())
-    return (m ^ prep_bit) != a_bit, eve and attack.bit == a_bit
+    return (m ^ prep_bit) != a_bit, eve and e_bit == a_bit
 
 
 bb84_round = _round_function(_bb84, two_way=False)

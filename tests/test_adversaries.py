@@ -4,14 +4,8 @@ from itertools import product
 import pytest
 
 from support import ScriptedRandom
-from twoway_qkd.adversaries import (
-    AttackConfig,
-    InterceptResend,
-    LucamariniAttack,
-    NguyenAttack,
-    Strategy,
-    validate_attack,
-)
+from twoway_qkd import protocols
+from twoway_qkd.adversaries import AttackConfig, Strategy, validate_attack
 from twoway_qkd.channel import ConfigError, Protocol
 from twoway_qkd.quantum import (
     Basis,
@@ -60,56 +54,77 @@ class TestCompatibility:
             validate_attack(protocol, AttackConfig(strategy=strategy))
 
 
+def calls(monkeypatch, name):
+    """Record the arguments of every call the round bodies make to the
+    quantum primitive ``protocols.<name>``, in order."""
+    real = getattr(protocols, name)
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(protocols, name, spy)
+    return seen
+
+
+# A round body is called as body(rng, cm, dark, eve); these play message-mode
+# rounds that Eve attacks, so each returns (error, eve_correct) or None.
+
+
 class TestInterceptResend:
-    def test_matched_basis_reads_and_resends_faithfully(self):
-        eve = InterceptResend()
-        resent = eve.intercept(Basis.Z.eigenstate(1), ScriptedRandom(bits=[0]))
-        assert eve.basis is Basis.Z
-        assert eve.bit == 1
+    def test_matched_basis_reads_and_resends_faithfully(self, monkeypatch):
+        measured = calls(monkeypatch, "measure")
+        # Alice sends Z|1>; Eve and Bob both measure in Z.
+        rng = ScriptedRandom(bits=[1, 0, 0, 0], uniforms=[0.0, 0.999])
+        assert protocols._bb84(rng, False, False, True) == (False, True)
+        (_, eve_basis, _), (resent, _, _) = measured
+        assert eve_basis is Basis.Z
         assert resent is Basis.Z.eigenstate(1)
 
-    def test_crossed_basis_resends_her_eigenstate(self):
-        eve = InterceptResend()
-        resent = eve.intercept(
-            Basis.Z.eigenstate(0), ScriptedRandom(bits=[1], uniforms=[0.9])
-        )
-        assert eve.basis is Basis.X
-        assert eve.bit == 1
+    def test_crossed_basis_resends_her_eigenstate(self, monkeypatch):
+        measured = calls(monkeypatch, "measure")
+        # Alice sends Z|0>; Eve measures in X and reads 1; Bob measures in Z.
+        rng = ScriptedRandom(bits=[0, 0, 1, 0], uniforms=[0.9, 0.25])
+        error, eve_correct = protocols._bb84(rng, False, False, True)
+        assert not eve_correct
+        (_, eve_basis, _), (resent, _, _) = measured
+        assert eve_basis is Basis.X
         assert resent is Basis.X.eigenstate(1)
+        assert not error  # Bob reads |-> in Z as 0 at a draw below 1/2
 
     def test_statistics_against_rng(self):
         rng = random.Random(404)
-        hits = 0
-        n = 4000
-        for _ in range(n):
-            eve = InterceptResend()
-            eve.intercept(Basis.Z.eigenstate(0), rng)
-            hits += eve.bit == 0
-        # Correct with probability 3/4 when the sender's bit is fixed.
+        played = (protocols._bb84(rng, False, False, True) for _ in range(8000))
+        sifted = [result for result in played if result is not None]
+        n = len(sifted)
+        hits = sum(eve_correct for _, eve_correct in sifted)
+        # Correct with probability 3/4 on the rounds Bob's basis sifting keeps.
         assert abs(hits / n - 0.75) < 3 * (0.75 * 0.25 / n) ** 0.5
+
+
+def _encoded_psi_minus(encode):
+    pair = prepare_bell(BellState.PSI_MINUS)
+    return half_wave_plate(pair, 2) if encode else pair
 
 
 class TestNguyenAttack:
     @pytest.mark.parametrize("encode", [0, 1])
     @pytest.mark.parametrize("draw", [0.0, 0.37, 0.999])
-    def test_reads_encoding_deterministically(self, encode, draw):
-        pair = prepare_bell(BellState.PSI_MINUS)
-        eve = NguyenAttack()
-        probe = eve.seize(pair)
-        assert eve.stored is pair
-        assert probe.amps == prepare_bell(BellState.PSI_MINUS).amps
-        encoded = half_wave_plate(probe, 2) if encode else probe
-        assert eve.read_return(encoded, ScriptedRandom(uniforms=[draw])) == encode
+    def test_reads_encoding_deterministically(self, monkeypatch, encode, draw):
+        analyzed = calls(monkeypatch, "bell_measure")
+        rng = ScriptedRandom(bits=[encode], uniforms=[draw, draw])
+        assert protocols._pp(rng, False, False, True) == (False, True)
+        # Eve analyzed a fresh psi- probe that carries Alice's encoding.
+        (probe, _), _ = analyzed
+        assert probe.amps == _encoded_psi_minus(encode).amps
 
     @pytest.mark.parametrize("encode", [0, 1])
-    def test_replay_reproduces_legitimate_channel(self, encode):
-        pair = prepare_bell(BellState.PSI_MINUS)
-        eve = NguyenAttack()
-        probe = eve.seize(pair)
-        encoded = half_wave_plate(probe, 2) if encode else probe
-        eve.read_return(encoded, ScriptedRandom())
-        legit = half_wave_plate(pair, 2) if encode else pair
-        assert eve.replay().amps == legit.amps
+    def test_replay_reproduces_legitimate_channel(self, monkeypatch, encode):
+        analyzed = calls(monkeypatch, "bell_measure")
+        protocols._pp(ScriptedRandom(bits=[encode]), False, False, True)
+        _, (replayed, _) = analyzed
+        assert replayed.amps == _encoded_psi_minus(encode).amps
 
 
 class TestLucamariniAttack:
@@ -119,22 +134,26 @@ class TestLucamariniAttack:
     @pytest.mark.parametrize("decoy_bit", [0, 1])
     @pytest.mark.parametrize("encode", [0, 1])
     def test_exhaustive_transparency(
-        self, prep_basis, prep_bit, decoy_basis_bit, decoy_bit, encode
+        self, monkeypatch, prep_basis, prep_bit, decoy_basis_bit, decoy_bit, encode
     ):
         """All 32 combinations: Eve reads the encoding exactly and her
         replay is indistinguishable from the unattacked channel."""
-        state = prep_basis.eigenstate(prep_bit)
-        eve = LucamariniAttack()
-        decoy = eve.seize(state, ScriptedRandom(bits=[decoy_bit, decoy_basis_bit]))
+        measured = calls(monkeypatch, "measure")
+        prep_basis_bit = 0 if prep_basis is Basis.Z else 1
+        rng = ScriptedRandom(
+            bits=[prep_bit, prep_basis_bit, decoy_bit, decoy_basis_bit, encode]
+        )
+        assert protocols._lm05(rng, False, False, True) == (False, True)
+        (decoy, decoy_basis, _), (replayed, bob_basis, _) = measured
+
         expected_basis = Basis.Z if decoy_basis_bit == 0 else Basis.X
-        assert eve.decoy_basis is expected_basis
-        assert decoy is expected_basis.eigenstate(decoy_bit)
+        assert decoy_basis is expected_basis
+        sent = expected_basis.eigenstate(decoy_bit)
+        assert decoy.same_state(apply_pauli(PauliOp.IY, sent) if encode else sent)
 
-        encoded = apply_pauli(PauliOp.IY, decoy) if encode else decoy
-        assert eve.read_return(encoded, ScriptedRandom()) == encode
-
-        replayed = eve.replay()
+        state = prep_basis.eigenstate(prep_bit)
         legit = apply_pauli(PauliOp.IY, state) if encode else state
         assert replayed.same_state(legit)
         # The receiver measures in the preparation basis: identical outcome.
+        assert bob_basis is prep_basis
         assert replayed.same_state(prep_basis.eigenstate(prep_bit ^ encode))

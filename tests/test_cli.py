@@ -128,6 +128,23 @@ class TestOutputFile:
         assert code == 4
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--protocol", "pp", "--attack", "nguyen", "--rounds", "16"],
+            ["analyze", "--d-grid", "0:0.5:0.1"],
+            ["table"],
+        ],
+    )
+    def test_closed_stdout_exits_4(self, capsys, monkeypatch, argv):
+        # An interpreter started with file descriptor 1 closed has no stdout.
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestConfigRejection:
     def test_foreign_attack_exits_3(self, capsys):
@@ -363,6 +380,16 @@ class TestImportFloor:
             except SystemExit as exc:  # --version exits through argparse
                 assert exc.code == 0, exc.code
             print(sorted(set({ENGINE!r}) & set(sys.modules)), file=sys.stderr)
+        """)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.strip() == "[]"
+
+    def test_attack_config_loads_no_quantum_or_numpy(self):
+        result = run_fresh("""
+            import sys
+            import twoway_qkd.adversaries
+            print(sorted({"numpy", "twoway_qkd.quantum"} & set(sys.modules)),
+                  file=sys.stderr)
         """)
         assert result.returncode == 0, result.stderr
         assert result.stderr.strip() == "[]"

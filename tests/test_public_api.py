@@ -47,7 +47,7 @@ class TestNamespace:
         assert getattr(twoway_qkd, name) is not None
 
     @pytest.mark.parametrize(
-        "name", ["QubitState", "bell_measure", "NguyenAttack", "validate_attack"]
+        "name", ["QubitState", "bell_measure", "measure", "validate_attack"]
     )
     def test_reference_model_is_not_top_level(self, name):
         assert not hasattr(twoway_qkd, name)

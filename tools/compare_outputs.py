@@ -24,9 +24,12 @@ each error-path command must end in its documented exit code.  Then each
 tree runs every ``simulate`` command above at ``--workers 2`` through one
 interpreter's ``cli.main``, one after another, so that one process pool
 serves them all; each output must match that tree's per-process output,
-and the interpreter must exit 0 with nothing else on stderr.  Exits 0 if
-everything matches, 1 naming the first command that differs, and 2 if REF
-cannot be unpacked.
+and the interpreter must exit 0 with nothing else on stderr.  Last, each
+tree plays its reference model, ``protocols.ROUND_FUNCTIONS``, in-process
+on the six pairings, the four channels and q in {0.4, 1} at a fixed seed,
+and the tallies must match.  Exits 0 if everything matches, 1 naming the
+first command or reference case that differs, and 2 if REF cannot be
+unpacked.
 """
 
 from __future__ import annotations
@@ -129,6 +132,35 @@ json.dump(results, sys.stdout)
 """
 
 
+REFERENCE = """
+import json, random, sys
+from twoway_qkd.channel import ChannelConfig, Protocol, Strategy
+from twoway_qkd.protocols import ROUND_FUNCTIONS, Tally
+
+results = []
+for protocol, attack, q, p_segment, dark, rounds, seed in json.load(sys.stdin):
+    protocol = Protocol(protocol)
+    channel = ChannelConfig(p_segment=float(p_segment), dark_count_prob=float(dark))
+    cm_prob = 0.0 if protocol is Protocol.BB84 else 0.3
+    args = (Strategy(attack), float(q), cm_prob, channel.transmittance(protocol),
+            channel.dark_count_prob)
+    tally, rng, round_fn = Tally(), random.Random(seed), ROUND_FUNCTIONS[protocol]
+    for _ in range(rounds):
+        round_fn(tally, rng, *args)
+    results.append(tally.as_dict())
+json.dump(results, sys.stdout)
+"""
+
+
+def reference_cases() -> list[tuple]:
+    """(protocol, attack, q, p_segment, dark, rounds, seed) for the
+    reference-model pass."""
+    return [(protocol, attack, q, p, dark, 20000, 11)
+            for protocol, attack in PAIRINGS
+            for q in ("0.4", "1")
+            for p, dark in CHANNELS]
+
+
 def pooled_cases(commands, groups) -> list[tuple[list[str], list[str]]]:
     """(command run in-process at ``--workers 2``, per-process command whose
     output it must equal) for every ``simulate`` command."""
@@ -137,15 +169,16 @@ def pooled_cases(commands, groups) -> list[tuple[list[str], list[str]]]:
     return cases + [(group[1], group[1]) for group in groups]
 
 
-def in_process(tree: Path, commands) -> list[tuple[int, str, str]] | str:
-    """Outputs of ``commands`` run in turn through one interpreter's
-    ``cli.main``, or what went wrong with that interpreter."""
+def in_process(tree: Path, inputs, script: str = IN_PROCESS) -> list | str:
+    """What ``script`` prints for ``inputs`` in ``tree`` (by default, the
+    outputs of commands run in turn through one interpreter's ``cli.main``),
+    or what went wrong with that interpreter."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    result = subprocess.run([sys.executable, "-c", IN_PROCESS], cwd=tree, env=env,
-                            input=json.dumps(commands), capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", script], cwd=tree, env=env,
+                            input=json.dumps(inputs), capture_output=True, text=True)
     if result.returncode != 0 or result.stderr:
         return f"exit {result.returncode}, stderr {result.stderr[-2000:]!r}"
-    return [tuple(output) for output in json.loads(result.stdout)]
+    return json.loads(result.stdout)
 
 
 def unpack(ref: str, into: Path) -> None:
@@ -166,6 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                 + [command for command, _ in errors])
     pooled = pooled_cases(simple, groups)
     pooled_commands = [command for command, _ in pooled]
+    reference = reference_cases()
     with tempfile.TemporaryDirectory() as tmp:
         try:
             unpack(args.ref, Path(tmp))
@@ -175,8 +209,10 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         ref_out = outputs(Path(tmp), commands)
         ref_pooled = in_process(Path(tmp), pooled_commands)
+        ref_tallies = in_process(Path(tmp), reference, REFERENCE)
     new_out = outputs(ROOT, commands)
     new_pooled = in_process(ROOT, pooled_commands)
+    new_tallies = in_process(ROOT, reference, REFERENCE)
 
     by_command = {}
     for command, old, new in zip(commands, ref_out, new_out):
@@ -201,16 +237,27 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         per_process = {tuple(command): output for command, output in zip(commands, out)}
         for (command, expected), output in zip(pooled, pooled_out):
-            if output != per_process[tuple(expected)]:
+            if tuple(output) != per_process[tuple(expected)]:
                 print(f"in-process run differs from its own process in {tree}: "
                       f"twoway-qkd {' '.join(command)}")
                 return 1
+    for tree, tallies in ((args.ref, ref_tallies), ("the working tree", new_tallies)):
+        if isinstance(tallies, str):
+            print(f"reference pass failed in {tree}: {tallies}")
+            return 1
+    for case, old, new in zip(reference, ref_tallies, new_tallies):
+        if old != new:
+            print(f"reference model differs from {args.ref}: "
+                  "protocol={} attack={} q={} p_segment={} dark={} rounds={} seed={}"
+                  .format(*case))
+            return 1
     size = sum(len(out) + len(err) for _, out, err in new_out)
     failed = sum(code != 0 for code, _, _ in new_out)
     print(f"{len(commands)} commands byte-identical to {args.ref} "
           f"({size:,} bytes of output, {failed} nonzero exits); "
           f"{len(pooled)} simulate commands at --workers 2 in one interpreter "
-          f"byte-identical to their own processes in both trees")
+          f"byte-identical to their own processes in both trees; "
+          f"{len(reference)} reference-model tallies identical")
     return 0
 
 
