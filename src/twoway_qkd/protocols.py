@@ -14,22 +14,26 @@ outcomes and contributes no eavesdropper knowledge.
 Chunk kernels
 -------------
 :data:`CHUNK_KERNELS` is the engine :func:`twoway_qkd.harness.run` uses.
-A kernel plays ``n`` rounds at once from a :class:`numpy.random.Generator`.
-Every amplitude these protocols touch is real (the Z and X eigenstates, the
-HWP(0 deg) sign flip and the ZX flip ((0, 1), (-1, 0))), so a state is a
-pair of float64 arrays with one entry per round: ``(amp0, amp1)`` for a
-qubit, and ``(amp01, amp10)`` for a photon pair, whose |00> and |11>
-amplitudes are identically zero.  Preparation, attack substitution,
-encoding, replay and measurement are masked sign flips, swaps and copies
-over those arrays.  Born probabilities are squared real overlaps, computed
-as :func:`quantum.measure`, :func:`quantum.measure_photon` and
-:func:`quantum.bell_measure` compute them, so the copy attacks leave
-message mode with exactly zero error in floating point.  Each round's
-physics is worked out for both modes; the mode coin picks what is booked.
+A kernel plays ``n`` rounds at once from a :class:`numpy.random.Generator`,
+as boolean logic over rows with one entry per round.  The states are Z and
+X eigenstates and the psi-/psi+ pair, and the HWP(0 deg) sign flip and the
+ZX flip map each to another, so every Born probability is 0, 1/2 or 1:
+
+* an eigenstate measured in its own basis gives its bit, and the beam
+  splitter reads psi- as split and psi+ as bunch, with certainty;
+* an eigenstate in the other basis, either photon of a psi- pair in Z (its
+  partner then reads the complement) and a dark firing give a fair coin,
+  1 iff that step's own uniform is at least 0.5.
+
+So the copy attacks leave message mode error-free by construction, not to
+within rounding.  Each round is worked out for both modes; the mode coin
+picks what is booked.
 
 Per-chunk draw layout.  Every draw is one row of ``n`` uniforms,
 ``rng.random(n)``, spent for all rounds whether or not a round uses it;
-a bit is ``u < 0.5``.  The skeleton spends, in order:
+a bit is ``u < 0.5``.  A row that is never read, such as Eve's certain
+reads under the copy attacks, is still spent, so that every row keeps its
+place in the stream whatever the attack.  The skeleton spends, in order:
 
 1. Eve's presence coin, ``u < q``.  Always spent, even when the strategy is
    NONE, so that ``q = 0`` with any strategy reproduces the attack-free
@@ -69,11 +73,8 @@ import numpy as np
 from .analysis import binary_entropy
 from .channel import Protocol, Strategy
 from .quantum import (
-    _R,
-    ATOL,
     Basis,
     BellOutcome,
-    BellSpanError,
     BellState,
     PauliOp,
     apply_pauli,
@@ -258,130 +259,51 @@ def _bits(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.random(n) < 0.5
 
 
-def _flip(amp0: np.ndarray, amp1: np.ndarray, rows: np.ndarray) -> None:
-    """The ZX flip ((0, 1), (-1, 0)) in place on the given rows."""
-    old0 = amp0.copy()
-    np.copyto(amp0, amp1, where=rows)
-    np.negative(old0, out=amp1, where=rows)
-
-
-def _prepare(x_basis: np.ndarray, bit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis eigenstates per row: |0> or |+>, flipped by ZX where the bit
-    is 1, which gives |1> (up to a global sign) or |->."""
-    amp0 = np.where(x_basis, _R, 1.0)
-    amp1 = np.where(x_basis, _R, 0.0)
-    _flip(amp0, amp1, bit)
-    return amp0, amp1
-
-
-def _measure(
-    amp0: np.ndarray,
-    amp1: np.ndarray,
-    x_basis: np.ndarray,
-    u: np.ndarray,
-    coin: np.ndarray | None = None,
-) -> np.ndarray:
-    """Projective measurement per row; outcome 0 iff u < |<e0|psi>|^2.
-
-    Rows in ``coin`` (dark firings) read a fair coin instead.
-    """
-    p0 = np.where(x_basis, _R * amp0 + _R * amp1, amp0)
-    p0 *= p0
-    if coin is not None:
-        np.copyto(p0, 0.5, where=coin)
-    return u >= p0
-
-
-def _p_split(amp01: np.ndarray, amp10: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Beam-splitter psi- probability per row: split (bit 0) iff u < it.
-
-    Raises :class:`BellSpanError` if one of ``rows``, the rounds that reach
-    the analyzer, has weight outside span{psi-, psi+}.
-    """
-    p_minus = (_R * (amp01 - amp10)) ** 2
-    p_plus = (_R * (amp01 + amp10)) ** 2
-    p_plus += p_minus
-    outside = (p_plus < 1.0 - ATOL) & rows
-    if outside.any():
-        raise BellSpanError(
-            f"{_count(outside)} registers outside the psi-/psi+ span (in-span "
-            f"weight {p_plus[outside].min():.6f})"
-        )
-    return p_minus
+def _read(bit: np.ndarray, exact: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Measurement of basis eigenstates per row: the state's bit where
+    ``exact``, otherwise a fair coin, 1 iff u >= 0.5."""
+    return np.where(exact, bit, u >= 0.5)
 
 
 def _bb84_chunk(rng, n, cm, dark, eve):
     """Prepare-and-measure rounds with optional intercept-resend."""
     a_bit, a_x = _bits(rng, n), _bits(rng, n)
-    amp0, amp1 = _prepare(a_x, a_bit)
     e_x = _bits(rng, n)
-    e_bit = _measure(amp0, amp1, e_x, rng.random(n))
-    resent0, resent1 = _prepare(e_x, e_bit)
-    np.copyto(amp0, resent0, where=eve)
-    np.copyto(amp1, resent1, where=eve)
+    e_bit = _read(a_bit, e_x == a_x, rng.random(n))
+    # Bob receives Alice's state, or Eve's resent eigenstate where she is present.
+    s_bit = np.where(eve, e_bit, a_bit)
+    s_x = np.where(eve, e_x, a_x)
     b_x = _bits(rng, n)
-    b_bit = _measure(amp0, amp1, b_x, rng.random(n), dark)
+    b_bit = _read(s_bit, (b_x == s_x) & ~dark, rng.random(n))
     return b_bit != a_bit, e_bit == a_bit, a_x == b_x
-
-
-# The source pair of the Bell-pair protocol: psi-'s |01> and |10> amplitudes.
-_PSI_MINUS = (_R, -_R)
 
 
 def _pp_chunk(rng, n, cm, dark, eve):
     """Rounds of the Bell-pair protocol; see :func:`_pp`."""
-    mm = ~cm
-    amp01, amp10 = _PSI_MINUS
-    # Alice holds photon 2 of a psi- pair: Bob's, or under attack Eve's probe.
-    x01, x10 = np.full(n, amp01), np.full(n, amp10)
-    u_a = rng.random(n)
-    a_bit = u_a < 0.5
-    p0 = x10 * x10  # photon 2 in Z: outcome 0 iff u < |amp10|^2
-    np.copyto(p0, 0.5, where=dark)
-    a_cm = u_a >= p0
-    np.negative(x01, out=x01, where=a_bit & mm)  # HWP(0 deg) on photon 2
-    # Eve Bell-analyzes the encoded probe and replays it on Bob's pair.
-    e_bit = rng.random(n) >= _p_split(x01, x10, eve & mm)
-    b01, b10 = np.full(n, amp01), np.full(n, amp10)
-    np.negative(b01, out=b01, where=e_bit & mm)
-    # Without Eve, Bob's pair is Alice's, collapsed by her control measurement.
-    np.copyto(b01, x01, where=~eve)
-    np.copyto(b10, x10, where=~eve)
-    collapse = cm & ~eve
-    np.copyto(b10, 0.0, where=collapse & a_cm)
-    np.copyto(b01, 0.0, where=collapse & ~a_cm)
-    # Bob: Bell analysis in message mode, photon 1 in Z in control mode.
-    p0 = _p_split(b01, b10, mm)
-    w01, w10 = b01 * b01, b10 * b10
-    np.divide(w01, w01 + w10, out=p0, where=cm)
-    np.copyto(p0, 0.5, where=dark)
-    b_bit = rng.random(n) >= p0
-    error = np.where(cm, a_cm == b_bit, a_bit != b_bit)
-    return error, e_bit == a_bit, None
+    # Alice's message bit; in control mode the same row is her Z reading of
+    # photon 2, its complement.  Either way an error is a_bit != b_bit.
+    a_bit = _bits(rng, n)
+    rng.random(n)  # Eve's Bell analysis of her encoded probe: certain, unread
+    # Bob reads a_bit exactly (the decoded pair, or the partner photon) unless
+    # his detector fired dark or Eve's probe went to Alice in control mode.
+    b_bit = _read(a_bit, ~(dark | (cm & eve)), rng.random(n))
+    return a_bit != b_bit, eve, None  # Eve reads every bit she covers
 
 
 def _lm05_chunk(rng, n, cm, dark, eve):
     """Rounds of the single-photon two-way protocol; see :func:`_lm05`."""
-    mm = ~cm
     prep_bit, prep_x = _bits(rng, n), _bits(rng, n)
-    s0, s1 = _prepare(prep_x, prep_bit)
     decoy_bit, decoy_x = _bits(rng, n), _bits(rng, n)
-    # Alice receives Bob's qubit, or under attack Eve's decoy.
-    x0, x1 = _prepare(decoy_x, decoy_bit)
-    np.copyto(x0, s0, where=~eve)
-    np.copyto(x1, s1, where=~eve)
     choice = _bits(rng, n)  # message bit, or control basis (1 = X)
-    a_cm = _measure(x0, x1, choice, rng.random(n), dark)
-    cm_error = (choice == prep_x) & (a_cm != prep_bit)
-    _flip(x0, x1, choice & mm)
-    # Eve reads the flip off her decoy and replays it on Bob's qubit.
-    e_bit = _measure(x0, x1, decoy_x, rng.random(n)) ^ decoy_bit
-    _flip(s0, s1, e_bit & mm)
-    np.copyto(x0, s0, where=eve)
-    np.copyto(x1, s1, where=eve)
-    m = _measure(x0, x1, prep_x, rng.random(n), dark)
-    error = np.where(cm, cm_error, (m ^ prep_bit) != choice)
-    return error, e_bit == choice, None
+    # Alice receives Bob's qubit, or under attack Eve's decoy.
+    held_bit = np.where(eve, decoy_bit, prep_bit)
+    held_x = np.where(eve, decoy_x, prep_x)
+    a_cm = _read(held_bit, (choice == held_x) & ~dark, rng.random(n))
+    rng.random(n)  # Eve's measurement of the returned decoy: certain, unread
+    # Bob's qubit comes back flipped by Alice's choice, or by Eve's replay of it.
+    m = _read(prep_bit ^ choice, ~dark, rng.random(n))
+    error = np.where(cm, (choice == prep_x) & (a_cm != prep_bit), (m ^ prep_bit) != choice)
+    return error, eve, None
 
 
 CHUNK_KERNELS = {

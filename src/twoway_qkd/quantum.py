@@ -105,6 +105,12 @@ def apply_pauli(op: PauliOp, state: QubitState) -> QubitState:
     )
 
 
+def _selects(draw: float, p: float) -> bool:
+    """Born-rule selection: draw < p, and always when p is within ATOL of 1,
+    since squared amplitudes of 1/sqrt(2) land a few ulps short of 1."""
+    return draw < p or p > 1.0 - ATOL
+
+
 def measure(state: QubitState, basis: Basis, draw: float) -> tuple[int, QubitState]:
     """Projective measurement; outcome 0 selected iff draw < |<e0|state>|^2.
 
@@ -113,7 +119,7 @@ def measure(state: QubitState, basis: Basis, draw: float) -> tuple[int, QubitSta
     """
     e0, e1 = _EIGENSTATES[basis]
     p0 = abs(e0.inner(state)) ** 2
-    return (0, e0) if draw < p0 else (1, e1)
+    return (0, e0) if _selects(draw, p0) else (1, e1)
 
 
 class BellState(Enum):
@@ -177,7 +183,7 @@ def bell_measure(pair: PairState, draw: float) -> BellOutcome:
             f"register outside the psi-/psi+ span (in-span weight "
             f"{p_minus + p_plus:.6f})"
         )
-    return BellOutcome.SPLIT if draw < p_minus else BellOutcome.BUNCH
+    return BellOutcome.SPLIT if _selects(draw, p_minus) else BellOutcome.BUNCH
 
 
 def measure_photon(
@@ -204,7 +210,7 @@ def measure_photon(
         )
     c0 = cond(e0)
     p0 = abs(c0[0]) ** 2 + abs(c0[1]) ** 2
-    if draw < p0:
+    if _selects(draw, p0):
         outcome, c, p = 0, c0, p0
     else:
         c1 = cond(e1)

@@ -28,6 +28,33 @@ class ScriptedRandom:
         return self._fallback
 
 
+class ScriptedRows:
+    """Stands in for a chunk kernel's numpy generator with predetermined rows.
+
+    Each ``random(n)`` call returns the next scripted row, which must have
+    ``n`` entries; asking for more rows than scripted fails, and so does
+    :meth:`assert_spent` when the kernel asked for fewer.
+    """
+
+    def __init__(self, rows):
+        import numpy as np
+
+        self._rows = [np.array(row, dtype=float) for row in rows]
+        self._spent = 0
+
+    def random(self, n: int):
+        assert self._spent < len(self._rows), "kernel drew more rows than scripted"
+        row = self._rows[self._spent]
+        assert row.shape == (n,), f"row {self._spent} has {row.size} lanes, kernel asked for {n}"
+        self._spent += 1
+        return row
+
+    def assert_spent(self) -> None:
+        assert self._spent == len(self._rows), (
+            f"kernel drew {self._spent} of {len(self._rows)} scripted rows"
+        )
+
+
 def played_chunks(config, play=None):
     """Run ``config`` in-process through ``harness.run`` and return the
     ``(index, n_rounds, tally)`` of every chunk in the order played, and the

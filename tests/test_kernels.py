@@ -13,12 +13,10 @@ import pytest
 
 import oracles
 from support import played_chunks
-from twoway_qkd import protocols
 from twoway_qkd.adversaries import AttackConfig, Strategy
 from twoway_qkd.channel import ChannelConfig, Protocol
 from twoway_qkd.harness import SimConfig, _chunk_rng, run
 from twoway_qkd.protocols import CHUNK_KERNELS, ROUND_FUNCTIONS, Tally
-from twoway_qkd.quantum import BellSpanError
 
 KERNEL_ROUNDS = 100_000
 REFERENCE_ROUNDS = 20_000
@@ -203,20 +201,3 @@ def test_run_never_calls_the_reference(monkeypatch):
     for case in CASES:
         assert run(config_of(case, 5000), workers=1).rounds == 5000
 
-
-class TestBellSpanGuard:
-    def test_kernel_raises_on_a_register_outside_the_span(self, monkeypatch):
-        # A source whose pair keeps only 0.36 of its weight on |01>, |10>.
-        monkeypatch.setattr(protocols, "_PSI_MINUS", (0.6, 0.0))
-        config = SimConfig(protocol=Protocol.PP, rounds=64, cm_prob=0.25)
-        with pytest.raises(BellSpanError, match="outside the psi-/psi"):
-            run(config)
-
-    def test_only_rows_reaching_the_analyzer_are_checked(self):
-        amp01 = np.array([2**-0.5, 1.0, 0.0])
-        amp10 = np.array([-(2**-0.5), 0.0, 0.0])
-        reaching = np.array([True, True, False])
-        p = protocols._p_split(amp01, amp10, reaching)
-        assert p[0] >= 1.0 and p[1] == pytest.approx(0.5)
-        with pytest.raises(BellSpanError):
-            protocols._p_split(amp01, amp10, np.ones(3, dtype=bool))

@@ -97,11 +97,17 @@ class TestPauli:
         assert (twice.amp0, twice.amp1) == (-PLUS.amp0, -PLUS.amp1)
 
 
+# The largest uniform a generator returns: above the squared amplitudes of
+# 1/sqrt(2) that certain outcomes compute, a few ulps short of 1.
+TOP = 1.0 - 2.0**-53
+
+
 class TestMeasure:
-    @pytest.mark.parametrize("draw", [0.0, 0.3, 0.999999])
+    @pytest.mark.parametrize("draw", [0.0, 0.3, 0.999999, TOP])
     def test_eigenstate_is_deterministic(self, draw):
         assert measure(ZERO, Basis.Z, draw) == (0, ZERO)
         assert measure(ONE, Basis.Z, draw) == (1, ONE)
+        assert measure(PLUS, Basis.X, draw) == (0, PLUS)
         assert measure(MINUS, Basis.X, draw) == (1, MINUS)
 
     def test_cross_basis_follows_draw(self):
@@ -150,7 +156,7 @@ class TestPairState:
 
 
 class TestBellMeasure:
-    @pytest.mark.parametrize("draw", [0.0, 0.5, 0.999999])
+    @pytest.mark.parametrize("draw", [0.0, 0.5, 0.999999, TOP])
     def test_discrimination_is_deterministic_and_exact(self, draw):
         minus = prepare_bell(BellState.PSI_MINUS)
         assert bell_measure(minus, draw) is BellOutcome.SPLIT
@@ -202,4 +208,12 @@ class TestMeasurePhoton:
         # |+>|0>: measuring photon 2 in Z must not disturb photon 1.
         pair = PairState((R, 0.0, R, 0.0))
         _, remainder = measure_photon(pair, 2, Basis.Z, 0.9)
+        assert remainder.same_state(PLUS)
+
+    def test_certain_outcome_at_the_top_of_the_range(self):
+        # Photon 2 of |+>|0> reads 0 in Z with probability 1, computed as
+        # 2 * (1/sqrt(2))^2, two ulps short of 1.
+        pair = PairState((R, 0.0, R, 0.0))
+        bit, remainder = measure_photon(pair, 2, Basis.Z, TOP)
+        assert bit == 0
         assert remainder.same_state(PLUS)
