@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 import importlib
 
 # Public name -> the module that defines it.  Each is imported on first
-# access, so ``import twoway_qkd`` loads no numpy until the engine is used.
+# access, so ``import twoway_qkd`` imports none of the modules behind them.
 _HOMES = {
     "AttackConfig": "adversaries",
     "ChannelConfig": "channel",

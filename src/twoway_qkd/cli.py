@@ -4,8 +4,7 @@ Three subcommands: ``simulate`` runs the round-level simulator and reports
 run statistics, ``analyze`` tabulates the closed-form information curves
 over a disturbance grid, and ``table`` prints the protocol comparison.
 Every subcommand writes CSV (with ``#``-prefixed metadata lines) or JSON to
-stdout or to ``--output``.  Only ``simulate`` imports the engine, and with
-it numpy.
+stdout or to ``--output``.  Only ``simulate`` imports the engine.
 
 Exit codes: 0 on success, 2 for command-line usage errors, 3 for
 configurations the model rejects, 4 for output I/O failures.
@@ -143,7 +142,7 @@ def _emit(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    # The engine (and numpy) loads here, in the parent, before any pool forks.
+    # The engine loads here, in the parent, before any pool forks.
     from . import harness
     from .adversaries import AttackConfig
 

@@ -9,10 +9,13 @@ merged by addition, which is order-insensitive; derived statistics are
 computed once from the merged integers.  Two runs of the same config
 therefore serialize byte-identically at any parallelism.
 
-Each chunk is played by one vectorized kernel from
-:data:`twoway_qkd.protocols.CHUNK_KERNELS`, which draws its coins as arrays
-from a PCG64 generator seeded by numpy's SeedSequence; the spawn keys give
-well-separated streams from (seed, chunk index).
+Each chunk is played by one bit-sliced kernel from
+:data:`twoway_qkd.protocols.CHUNK_KERNELS`, which holds one bit per round
+in a Python int.  It draws its fair and threshold rows as ``getrandbits``
+words (the layout is in :mod:`twoway_qkd.protocols`) from the chunk's own
+:class:`random.Random`, seeded with the string ``"<seed>:<chunk index>"``.
+A string seed is hashed with SHA-512, so the substream is the same on
+every process, platform and ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -20,18 +23,19 @@ from __future__ import annotations
 import atexit
 import numbers
 import os
+import random
 import threading
 from dataclasses import dataclass, field
 from itertools import repeat
-
-import numpy as np
 
 from .adversaries import AttackConfig, validate_attack
 from .channel import ChannelConfig, ConfigError, Protocol
 from .protocols import CHUNK_KERNELS, Tally
 
-# Rounds per chunk; the kernel's working set grows with it, so peak RSS bounds it.
-CHUNK_ROUNDS = 4096
+# Rounds per chunk, one bit each in the kernel's ints.  Larger chunks spread
+# each chunk's seeding and threshold walks over more rounds; at this size a
+# 2e4-round run still has two chunks for a pool to split.
+CHUNK_ROUNDS = 16384
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +87,9 @@ class SimConfig:
 RunStats = Tally
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
+def _chunk_rng(seed: int, index: int) -> random.Random:
     """Independent substream for one chunk, from (seed, chunk index) only."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(ss))
+    return random.Random(f"{seed}:{index}")
 
 
 def _run_chunk(config: SimConfig, index: int, n_rounds: int) -> Tally:

@@ -1,4 +1,4 @@
-"""Protocol machines: one vectorized chunk kernel per protocol, and the
+"""Protocol machines: one bit-sliced chunk kernel per protocol, and the
 round-by-round reference model the kernels are tested against.
 
 Both engines record what happened in a :class:`Tally`.  Each has one
@@ -14,36 +14,41 @@ outcomes and contributes no eavesdropper knowledge.
 Chunk kernels
 -------------
 :data:`CHUNK_KERNELS` is the engine :func:`twoway_qkd.harness.run` uses.
-A kernel plays ``n`` rounds at once from a :class:`numpy.random.Generator`,
-as boolean logic over rows with one entry per round.  The states are Z and
-X eigenstates and the psi-/psi+ pair, and the HWP(0 deg) sign flip and the
-ZX flip map each to another, so every Born probability is 0, 1/2 or 1:
+A kernel plays ``n`` rounds at once from a :class:`random.Random`: each
+row holds one bit per round, lane i in bit i of a Python int, and a
+counter is the popcount of a row masked by the rounds it covers.  The
+states are Z and X eigenstates and the psi-/psi+ pair, and the HWP(0 deg)
+sign flip and the ZX flip map each to another, so every Born probability
+is 0, 1/2 or 1:
 
 * an eigenstate measured in its own basis gives its bit, and the beam
   splitter reads psi- as split and psi+ as bunch, with certainty;
 * an eigenstate in the other basis, either photon of a psi- pair in Z (its
-  partner then reads the complement) and a dark firing give a fair coin,
-  1 iff that step's own uniform is at least 0.5.
+  partner then reads the complement) and a dark firing give a fair coin.
 
-So the copy attacks leave message mode error-free by construction, not to
-within rounding.  Each round is worked out for both modes; the mode coin
-picks what is booked.
+A measurement is therefore ``(bit & exact) | (coin & ~exact)``, and the
+copy attacks leave message mode error-free by construction, not to within
+rounding.  Each round is worked out for both modes; the mode row picks
+what is booked.
 
-Per-chunk draw layout.  Every draw is one row of ``n`` uniforms,
-``rng.random(n)``, spent for all rounds whether or not a round uses it;
-a bit is ``u < 0.5``.  A row that is never read, such as Eve's certain
-reads under the copy attacks, is still spent, so that every row keeps its
-place in the stream whatever the attack.  The skeleton spends, in order:
+Per-chunk draw layout.  A fair row, a bit or a coin, is one word,
+``rng.getrandbits(n)``, spent for all rounds whether or not a round uses
+it.  A threshold row, ``u < p`` for a real p, is :func:`_below`: each
+round's uniform u is drawn one binary digit per word until it differs
+from p's, about log2(n) + 2 words, and none at p <= 0 or p >= 1.  A row
+that is never read, such as Eve's certain reads under the copy attacks,
+is still spent, so that every row keeps its place in the stream whatever
+the attack.  The skeleton spends, in order:
 
-1. Eve's presence coin, ``u < q``.  Always spent, even when the strategy is
-   NONE, so that ``q = 0`` with any strategy reproduces the attack-free
+1. Eve's presence row, ``u < q``, only under an attack, so that q = 0
+   with any strategy, and no strategy at any q, play the attack-free
    stream.
-2. (two-way only) the control-mode coin, ``u < cm_prob``.
-3. Photon survival, ``u < T`` against the compounded transmittance; when
-   dark counts are enabled, one more row for the dark-count coin, which
-   counts on lost rounds only.
+2. (two-way only) the control-mode row, ``u < cm_prob``.
+3. Photon survival, ``u < T`` against the compounded transmittance, then
+   the dark-count row, which counts on lost rounds only.
 
-Then the body, attack rows included whether or not Eve is present:
+Then the body, one word per fair row, attack rows included whether or not
+Eve is present:
 
 * ``bb84``: Alice's bit, Alice's basis, Eve's basis, Eve's measurement,
   Bob's basis, Bob's measurement.
@@ -57,7 +62,8 @@ Reference model
 ---------------
 :data:`ROUND_FUNCTIONS` plays one round at a time with the :mod:`quantum`
 state objects, drawing from a :class:`random.Random`: steps 1-3 above as
-single draws (the dark-count coin only on a lost round), then the
+single ``random()`` draws (the presence draw in every round, the
+dark-count coin only on a lost round), then the
 protocol's draws in channel order, Eve's included, each spent only when the
 round reaches it.  Each round body plays its attack inline.  It is the
 readable statement of the physics; nothing on the run path calls it.
@@ -67,8 +73,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .analysis import binary_entropy
 from .channel import Protocol, Strategy
@@ -194,21 +198,54 @@ _DERIVED = (
 # -- chunk kernels -----------------------------------------------------------
 
 
-def _count(mask: np.ndarray) -> int:
-    return int(np.count_nonzero(mask))
+def _below(rng: random.Random, n: int, p: float) -> int:
+    """A threshold row: lane i is set iff its own uniform u_i < p, exactly
+    for the float p.
+
+    The digits of each u_i are drawn one word per binary digit and compared
+    with the digits of p's exact ratio; a lane is decided at the first
+    digit where they differ.  The walk stops once no lane is undecided, or
+    after p's last 1-digit, past which an undecided u_i >= p.
+    """
+    if p <= 0.0:
+        return 0
+    lanes = (1 << n) - 1
+    if p >= 1.0:
+        return lanes
+    num, den = float(p).as_integer_ratio()
+    below, undecided = 0, lanes
+    for digit in range(den.bit_length() - 2, -1, -1):
+        word = rng.getrandbits(n)
+        if num >> digit & 1:
+            below |= undecided & ~word
+            undecided &= word
+        else:
+            undecided &= ~word
+        if not undecided:
+            break
+    return below
+
+
+def _where(mask: int, yes: int, no: int) -> int:
+    """Lane-wise select: ``yes`` where ``mask`` is set, ``no`` elsewhere.
+
+    A measurement of basis eigenstates is ``_where(exact, bit, coin)``: the
+    state's bit where the outcome is certain, a fair coin elsewhere."""
+    return (yes & mask) | (no & ~mask)
 
 
 def _chunk_kernel(body, two_way: bool):
     """The shared chunk skeleton around one protocol body.
 
-    The body is called as ``body(rng, n, cm, dark, eve)`` with boolean row
-    masks and returns three boolean arrays ``(error, eve_correct, keep)``;
-    ``keep`` marks the message rounds that sifting keeps, or is None when
-    every message round yields a key bit.
+    The body is called as ``body(rng, n, cm, dark, eve)`` with lane masks
+    and returns three masks ``(error, eve_correct, keep)``; ``keep`` marks
+    the message rounds that sifting keeps, or is None when every message
+    round yields a key bit.  Returned masks may be negative (``~x``); each
+    is counted only after an and with a non-negative lane mask.
     """
 
     def kernel(
-        rng: np.random.Generator,
+        rng: random.Random,
         n: int,
         strategy: Strategy,
         q: float,
@@ -216,93 +253,78 @@ def _chunk_kernel(body, two_way: bool):
         transmittance: float,
         dark_prob: float,
     ) -> Tally:
-        eve = rng.random(n) < q
-        if strategy is _NONE:
-            eve[:] = False
-        cm = rng.random(n) < cm_prob if two_way else np.zeros(n, dtype=bool)
-        live = rng.random(n) < transmittance
-        if dark_prob > 0.0:
-            dark = rng.random(n) < dark_prob
-            dark &= ~live
-        else:
-            dark = np.zeros(n, dtype=bool)
-        tally = Tally(rounds=n, eve_rounds=_count(eve), dark=_count(dark))
+        eve = _below(rng, n, q) if strategy is not _NONE else 0
+        cm = _below(rng, n, cm_prob) if two_way else 0
+        live = _below(rng, n, transmittance)
+        dark = _below(rng, n, dark_prob) & ~live
+        tally = Tally(rounds=n, eve_rounds=eve.bit_count(), dark=dark.bit_count())
         eve &= ~dark  # a dark firing carries no eavesdropper knowledge
         live |= dark
-        tally.lost = n - _count(live)
+        tally.lost = n - live.bit_count()
 
         error, eve_correct, keep = body(rng, n, cm, dark, eve)
         rows = cm & live
-        tally.cm_rounds = _count(rows)
-        tally.cm_errors = _count(rows & error)
+        tally.cm_rounds = rows.bit_count()
+        tally.cm_errors = (rows & error).bit_count()
         rows &= eve
-        tally.eve_cm_rounds = _count(rows)
-        tally.eve_cm_errors = _count(rows & error)
+        tally.eve_cm_rounds = rows.bit_count()
+        tally.eve_cm_errors = (rows & error).bit_count()
 
-        np.logical_not(cm, out=rows)
-        rows &= live
-        tally.mm_rounds = _count(rows)
+        rows = live & ~cm
+        tally.mm_rounds = rows.bit_count()
         if keep is not None:
             rows &= keep
-        tally.raw_key = _count(rows)
-        tally.mm_errors = _count(rows & error)
+        tally.raw_key = rows.bit_count()
+        tally.mm_errors = (rows & error).bit_count()
         rows &= eve
-        tally.eve_mm_rounds = _count(rows)
-        tally.eve_mm_correct = _count(rows & eve_correct)
+        tally.eve_mm_rounds = rows.bit_count()
+        tally.eve_mm_correct = (rows & eve_correct).bit_count()
         return tally
 
     kernel.__doc__ = body.__doc__
     return kernel
 
 
-def _bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.random(n) < 0.5
-
-
-def _read(bit: np.ndarray, exact: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Measurement of basis eigenstates per row: the state's bit where
-    ``exact``, otherwise a fair coin, 1 iff u >= 0.5."""
-    return np.where(exact, bit, u >= 0.5)
-
-
 def _bb84_chunk(rng, n, cm, dark, eve):
     """Prepare-and-measure rounds with optional intercept-resend."""
-    a_bit, a_x = _bits(rng, n), _bits(rng, n)
-    e_x = _bits(rng, n)
-    e_bit = _read(a_bit, e_x == a_x, rng.random(n))
+    bits = rng.getrandbits
+    a_bit, a_x, e_x = bits(n), bits(n), bits(n)
+    e_bit = _where(~(e_x ^ a_x), a_bit, bits(n))
     # Bob receives Alice's state, or Eve's resent eigenstate where she is present.
-    s_bit = np.where(eve, e_bit, a_bit)
-    s_x = np.where(eve, e_x, a_x)
-    b_x = _bits(rng, n)
-    b_bit = _read(s_bit, (b_x == s_x) & ~dark, rng.random(n))
-    return b_bit != a_bit, e_bit == a_bit, a_x == b_x
+    s_bit = _where(eve, e_bit, a_bit)
+    s_x = _where(eve, e_x, a_x)
+    b_x = bits(n)
+    b_bit = _where(~((b_x ^ s_x) | dark), s_bit, bits(n))
+    return b_bit ^ a_bit, ~(e_bit ^ a_bit), ~(a_x ^ b_x)
 
 
 def _pp_chunk(rng, n, cm, dark, eve):
     """Rounds of the Bell-pair protocol; see :func:`_pp`."""
     # Alice's message bit; in control mode the same row is her Z reading of
     # photon 2, its complement.  Either way an error is a_bit != b_bit.
-    a_bit = _bits(rng, n)
-    rng.random(n)  # Eve's Bell analysis of her encoded probe: certain, unread
+    bits = rng.getrandbits
+    a_bit = bits(n)
+    bits(n)  # Eve's Bell analysis of her encoded probe: certain, unread
     # Bob reads a_bit exactly (the decoded pair, or the partner photon) unless
     # his detector fired dark or Eve's probe went to Alice in control mode.
-    b_bit = _read(a_bit, ~(dark | (cm & eve)), rng.random(n))
-    return a_bit != b_bit, eve, None  # Eve reads every bit she covers
+    b_bit = _where(~(dark | (cm & eve)), a_bit, bits(n))
+    return a_bit ^ b_bit, eve, None  # Eve reads every bit she covers
 
 
 def _lm05_chunk(rng, n, cm, dark, eve):
     """Rounds of the single-photon two-way protocol; see :func:`_lm05`."""
-    prep_bit, prep_x = _bits(rng, n), _bits(rng, n)
-    decoy_bit, decoy_x = _bits(rng, n), _bits(rng, n)
-    choice = _bits(rng, n)  # message bit, or control basis (1 = X)
+    bits = rng.getrandbits
+    prep_bit, prep_x = bits(n), bits(n)
+    decoy_bit, decoy_x = bits(n), bits(n)
+    choice = bits(n)  # message bit, or control basis (1 = X)
     # Alice receives Bob's qubit, or under attack Eve's decoy.
-    held_bit = np.where(eve, decoy_bit, prep_bit)
-    held_x = np.where(eve, decoy_x, prep_x)
-    a_cm = _read(held_bit, (choice == held_x) & ~dark, rng.random(n))
-    rng.random(n)  # Eve's measurement of the returned decoy: certain, unread
+    held_bit = _where(eve, decoy_bit, prep_bit)
+    held_x = _where(eve, decoy_x, prep_x)
+    a_cm = _where(~((choice ^ held_x) | dark), held_bit, bits(n))
+    bits(n)  # Eve's measurement of the returned decoy: certain, unread
     # Bob's qubit comes back flipped by Alice's choice, or by Eve's replay of it.
-    m = _read(prep_bit ^ choice, ~dark, rng.random(n))
-    error = np.where(cm, (choice == prep_x) & (a_cm != prep_bit), (m ^ prep_bit) != choice)
+    m = _where(~dark, prep_bit ^ choice, bits(n))
+    error = _where(cm, ~(choice ^ prep_x) & (a_cm ^ prep_bit), m ^ prep_bit ^ choice)
     return error, eve, None
 
 

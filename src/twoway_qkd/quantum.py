@@ -106,8 +106,11 @@ def apply_pauli(op: PauliOp, state: QubitState) -> QubitState:
 
 
 def _selects(draw: float, p: float) -> bool:
-    """Born-rule selection: draw < p, and always when p is within ATOL of 1,
-    since squared amplitudes of 1/sqrt(2) land a few ulps short of 1."""
+    """Born-rule selection: draw < p.  Squared amplitudes of 1/sqrt(2) land
+    a few ulps off 1/2 and 1, so p within ATOL of 1/2 counts as exactly 1/2
+    (a fair coin on the draw's grid) and p within ATOL of 1 always selects."""
+    if abs(p - 0.5) <= ATOL:
+        p = 0.5
     return draw < p or p > 1.0 - ATOL
 
 

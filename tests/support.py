@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 class ScriptedRandom:
     """Stands in for random.Random with predetermined draws.
@@ -29,30 +31,69 @@ class ScriptedRandom:
 
 
 class ScriptedRows:
-    """Stands in for a chunk kernel's numpy generator with predetermined rows.
+    """Stands in for a chunk kernel's random.Random with predetermined rows.
 
-    Each ``random(n)`` call returns the next scripted row, which must have
-    ``n`` entries; asking for more rows than scripted fails, and so does
-    :meth:`assert_spent` when the kernel asked for fewer.
+    A row is a list of per-lane uniforms.  It is served through
+    ``getrandbits(n)`` as the words a kernel draws for it, lane i in bit i:
+
+    * a fair or Born row is one word, bit i set iff lane i reads at least
+      0.5 (its first binary digit), so 0.25 serves 0 and 0.75 serves 1;
+    * a threshold row, given as a pair ``(p, row)``, serves the lanes'
+      binary digits, one word per digit, for as long as some lane's
+      uniform agrees with p so far and p has a 1-digit left.  So an all
+      "yes" row (0.0) serves all-zero words up to p's first 1-digit, an
+      all "no" row (1 - 2**-53) all-one words up to p's first 0-digit, and
+      p of 0 or 1 serves none.
+
+    Each call must ask for the scripted number of lanes; drawing more
+    words than scripted fails, and so does :meth:`assert_spent` when the
+    kernel drew fewer.
     """
 
     def __init__(self, rows):
-        import numpy as np
-
-        self._rows = [np.array(row, dtype=float) for row in rows]
+        self._words = []
+        for row in rows:
+            if isinstance(row, tuple):
+                self._words += threshold_words(*row)
+            else:
+                self._words.append((len(row), _word(u >= 0.5 for u in row)))
         self._spent = 0
 
-    def random(self, n: int):
-        assert self._spent < len(self._rows), "kernel drew more rows than scripted"
-        row = self._rows[self._spent]
-        assert row.shape == (n,), f"row {self._spent} has {row.size} lanes, kernel asked for {n}"
+    def getrandbits(self, n: int) -> int:
+        assert self._spent < len(self._words), "kernel drew more words than scripted"
+        lanes, word = self._words[self._spent]
+        assert lanes == n, f"word {self._spent} has {lanes} lanes, kernel asked for {n}"
         self._spent += 1
-        return row
+        return word
 
     def assert_spent(self) -> None:
-        assert self._spent == len(self._rows), (
-            f"kernel drew {self._spent} of {len(self._rows)} scripted rows"
+        assert self._spent == len(self._words), (
+            f"kernel drew {self._spent} of {len(self._words)} scripted words"
         )
+
+
+def _word(bits) -> int:
+    return sum(1 << lane for lane, bit in enumerate(bits) if bit)
+
+
+def threshold_words(p, row):
+    """The ``(lanes, word)`` draws that decide ``u < p`` for each lane's
+    uniform u in ``row``, walking the exact binary digits of both."""
+    p = Fraction(p)
+    if not 0 < p < 1:
+        return []
+    lanes = [Fraction(u) for u in row]
+    undecided = set(range(len(lanes)))
+    words = []
+    while undecided and p:
+        p *= 2
+        p_digit = p >= 1
+        p -= p_digit
+        digits = [u * 2 >= 1 for u in lanes]
+        lanes = [2 * u - d for u, d in zip(lanes, digits)]
+        undecided = {i for i in undecided if digits[i] == p_digit}
+        words.append((len(lanes), _word(digits)))
+    return words
 
 
 def played_chunks(config, play=None):

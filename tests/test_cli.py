@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -350,7 +351,7 @@ class TestEntrypoints:
 
 
 # Loaded by ``simulate`` only: the engine and everything it imports.
-ENGINE = ("numpy", "twoway_qkd.adversaries", "twoway_qkd.harness",
+ENGINE = ("twoway_qkd.adversaries", "twoway_qkd.harness",
           "twoway_qkd.protocols", "twoway_qkd.quantum")
 
 
@@ -394,17 +395,35 @@ class TestImportFloor:
         assert result.returncode == 0, result.stderr
         assert result.stderr.strip() == "[]"
 
-    def test_pool_starts_after_the_engine_and_before_numpy_random(self):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_simulate_loads_no_numpy(self, workers):
+        # With two CPUs, --workers 2 plays its chunks in a real pool; the
+        # workers are asked too.
+        result = run_fresh(f"""
+            import os, sys
+            os.cpu_count = lambda: 2
+            from twoway_qkd import harness
+            from twoway_qkd.cli import main
+            code = main(["simulate", "--protocol", "lm05", "--attack", "lucamarini",
+                         "--cm-prob", "0.25", "--rounds", "40000", "--workers", "{workers}"])
+            loaded = ["numpy" in sys.modules]
+            if harness._pool is not None:
+                loaded += harness._pool[1].map(eval, ["'numpy' in __import__('sys').modules"] * 4)
+            print(code, any(loaded), harness._pool is not None, file=sys.stderr)
+        """)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.strip() == f"0 False {workers == '2'}"
+
+    def test_pool_starts_after_the_engine_loads(self):
         # The parent imports the engine before the pool forks, so workers
-        # share its numpy instead of each importing it, which costs peak
-        # RSS; numpy.random is left for each worker's first chunk.
+        # share its modules instead of each importing them.
         result = run_fresh("""
             import concurrent.futures, os, sys
             from twoway_qkd.cli import main
 
             class StandInPool:
                 def __init__(self, max_workers):
-                    seen = ("numpy", "numpy.random", "twoway_qkd.protocols")
+                    seen = ("numpy", "twoway_qkd.protocols")
                     loaded = [name for name in seen if name in sys.modules]
                     print(max_workers, loaded, file=sys.stderr)
 
@@ -420,5 +439,24 @@ class TestImportFloor:
                            "--rounds", "20000", "--workers", "2"]))
         """)
         assert result.returncode == 0, result.stderr
-        assert result.stderr.strip() == "2 ['numpy', 'twoway_qkd.protocols']"
+        assert result.stderr.strip() == "2 ['twoway_qkd.protocols']"
         assert json.loads(result.stdout)["stats"]["rounds"] == 20000
+
+
+class TestReproducibility:
+    def test_output_is_byte_identical_across_workers_and_hash_seeds(self):
+        argv = ["simulate", "--protocol", "lm05", "--attack", "lucamarini", "--q", "0.6",
+                "--cm-prob", "0.3", "--p-segment", "0.9", "--dark-count-prob", "0.01",
+                "--rounds", "50000", "--seed", "17"]
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            for workers in ("1", "2", "3"):
+                env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+                result = subprocess.run(
+                    [sys.executable, "-m", "twoway_qkd", *argv, "--workers", workers],
+                    env=env, capture_output=True, text=True,
+                )
+                assert result.returncode == 0, result.stderr
+                outputs.add(result.stdout)
+        assert len(outputs) == 1
+        assert json.loads(outputs.pop())["stats"]["rounds"] == 50000

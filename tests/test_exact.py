@@ -9,9 +9,14 @@ setting of the threshold rows, each row all "yes" (0.0) or all "no"
 call one lane for each combination of the fair and Born rows, each
 reading 0.25 or 0.75.  The weighted lane tallies must equal, with ``==``,
 the expectations built from ``tests/oracles.py`` and the closed forms of
-the acceptance criteria.
+the acceptance criteria.  The script serves each row as the
+``getrandbits`` words the kernel must draw for it, so a kernel that skips,
+adds or resizes a draw fails too.  Last, the reference model's amplitudes
+must give the same table of certain outcomes and fair coins that the
+kernels encode.
 """
 
+import math
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
@@ -22,6 +27,18 @@ import oracles
 from support import ScriptedRows
 from twoway_qkd.channel import Protocol, Strategy
 from twoway_qkd.protocols import CHUNK_KERNELS, Tally
+from twoway_qkd.quantum import (
+    Basis,
+    BellOutcome,
+    BellState,
+    PauliOp,
+    apply_pauli,
+    bell_measure,
+    half_wave_plate,
+    measure,
+    measure_photon,
+    prepare_bell,
+)
 
 TOP = 1.0 - 2.0**-53  # the largest uniform a generator returns
 YES, NO = 0.0, TOP
@@ -68,9 +85,10 @@ def expected_counters(protocol, strategy, q, cm_prob, t, dark_prob):
     """Each counter's expectation per round, from the weighted lane tallies."""
     body = enumerated(BODY_ROWS[protocol])
     n = len(body[0])
-    thresholds = [q, t]
+    # Eve's presence row is drawn only under an attack.
+    thresholds = [q, t] if strategy is not Strategy.NONE else [t]
     if protocol is not Protocol.BB84:
-        thresholds.insert(1, cm_prob)
+        thresholds.insert(-1, cm_prob)
     if dark_prob > 0.0:
         thresholds.append(dark_prob)
     total = dict.fromkeys(COUNTERS, Fraction(0))
@@ -80,7 +98,7 @@ def expected_counters(protocol, strategy, q, cm_prob, t, dark_prob):
             weight *= Fraction(p) if yes else 1 - Fraction(p)
         if not weight:
             continue
-        rows = [[YES if yes else NO] * n for yes in setting] + body
+        rows = [(p, [YES if yes else NO] * n) for yes, p in zip(setting, thresholds)] + body
         tally = play(protocol, strategy, rows, q, cm_prob, t, dark_prob)
         for name in COUNTERS:
             total[name] += weight * Fraction(getattr(tally, name), n)
@@ -151,11 +169,12 @@ def test_acceptance_closed_forms_hold_exactly(protocol, strategy):
 
 
 def test_a_scripted_kernel_must_spend_every_row():
-    rows = [[YES] * 8] * 3 + enumerated(3)
+    # q = T = 1 draw no words; "yes" on cm_prob 0.3 = 0b0.01001... takes two.
+    rows = [(1.0, [YES] * 8), (0.3, [YES] * 8), (1.0, [YES] * 8)] + enumerated(3)
     play(Protocol.PP, Strategy.NGUYEN, rows, 1.0, 0.3, 1.0, 0.0)
-    with pytest.raises(AssertionError, match="drew 6 of 7"):
+    with pytest.raises(AssertionError, match="drew 5 of 6"):
         play(Protocol.PP, Strategy.NGUYEN, rows + [[YES] * 8], 1.0, 0.3, 1.0, 0.0)
-    with pytest.raises(AssertionError, match="more rows than scripted"):
+    with pytest.raises(AssertionError, match="more words than scripted"):
         play(Protocol.PP, Strategy.NGUYEN, rows[:-1], 1.0, 0.3, 1.0, 0.0)
 
 
@@ -176,8 +195,10 @@ def test_certain_outcomes_hold_at_the_top_of_the_range(protocol, strategy):
     for row in BORN_ROWS[protocol]:
         body[row] = [TOP] * len(body[row])
     n = len(body[0])
-    thresholds = [YES, NO, YES] if protocol is not Protocol.BB84 else [YES, YES]
-    rows = [[u] * n for u in thresholds] + body
+    thresholds = [(1.0, YES), (0.25, NO), (1.0, YES)]
+    if protocol is Protocol.BB84:
+        del thresholds[1]
+    rows = [(p, [u] * n) for p, u in thresholds] + body
     tally = play(protocol, strategy, rows, 1.0, 0.25, 1.0, 0.0)
     assert tally.mm_rounds == n
     # bb84 keeps the matched lanes, Z and X alike; the others keep every lane.
@@ -185,3 +206,61 @@ def test_certain_outcomes_hold_at_the_top_of_the_range(protocol, strategy):
     assert tally.mm_errors == 0
     if strategy is not Strategy.NONE:
         assert tally.eve_mm_correct == tally.raw_key
+
+
+# -- the {0, 1/2, 1} table ----------------------------------------------------
+#
+# The kernels encode each measurement as certain or a fair coin, with no
+# probability computed.  The reference model computes Born probabilities
+# from amplitudes; on every state the round bodies build, they must give
+# the same table.
+
+PROBES = (0.0, math.nextafter(0.5, 0.0), 0.5, TOP)
+
+
+def born(outcome_of):
+    """``("certain", bit)``, or ``"coin"`` when the outcome is 1 iff the
+    draw is at least 1/2, as a kernel's coin word reads it; any other
+    probability fails."""
+    outcomes = [outcome_of(draw) for draw in PROBES]
+    if len(set(outcomes)) == 1:
+        return "certain", outcomes[0]
+    assert outcomes == [0, 0, 1, 1], f"not a fair coin: {outcomes}"
+    return "coin"
+
+
+@pytest.mark.parametrize("flip", [0, 1], ids=["plain", "flipped"])
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("prepared, measured", list(product(Basis, Basis)))
+def test_eigenstate_readings_are_certain_or_a_coin(prepared, bit, flip, measured):
+    # bb84's and lm05's readings, and lm05's flip Z X, which keeps the basis
+    # and flips the bit: _where(same basis, bit ^ flip, coin).
+    state = prepared.eigenstate(bit)
+    if flip:
+        state = apply_pauli(PauliOp.IY, state)
+    expected = ("certain", bit ^ flip) if prepared is measured else "coin"
+    assert born(lambda draw: measure(state, measured, draw)[0]) == expected
+
+
+@pytest.mark.parametrize("encoded", [0, 1])
+@pytest.mark.parametrize("photon", [1, 2])
+def test_pair_readings_are_a_coin_then_the_complement(photon, encoded):
+    # pp's control mode: either photon of the pair, encoded or not, reads a
+    # coin in Z, and its partner then reads the complement with certainty.
+    pair = prepare_bell(BellState.PSI_MINUS)
+    if encoded:
+        pair = half_wave_plate(pair, 2)
+    assert born(lambda draw: measure_photon(pair, photon, Basis.Z, draw)[0]) == "coin"
+    for first in (0.0, TOP):
+        bit, partner = measure_photon(pair, photon, Basis.Z, first)
+        assert born(lambda draw: measure(partner, Basis.Z, draw)[0]) == ("certain", 1 - bit)
+
+
+@pytest.mark.parametrize("a_bit", [0, 1])
+def test_bell_analysis_is_certain(a_bit):
+    # pp's message mode, Bob's and Eve's analysis alike: split reads 0.
+    pair = prepare_bell(BellState.PSI_MINUS)
+    if a_bit:
+        pair = half_wave_plate(pair, 2)
+    split = lambda draw: 0 if bell_measure(pair, draw) is BellOutcome.SPLIT else 1  # noqa: E731
+    assert born(split) == ("certain", a_bit)

@@ -190,7 +190,9 @@ class TestChunkPlan:
 
     @pytest.mark.parametrize(
         "rounds",
-        [1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 10000,
+        # Counts around one chunk and around a quarter of one.
+        [1, CHUNK_ROUNDS // 4 - 1, CHUNK_ROUNDS // 4, CHUNK_ROUNDS // 4 + 1, 10000,
+         3 * CHUNK_ROUNDS // 4 + 5, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1,
          3 * CHUNK_ROUNDS + 5],
     )
     def test_plan_covers_rounds(self, rounds):
@@ -360,7 +362,7 @@ def kept_pool():
 class TestKeptPool:
     def test_one_pool_serves_a_sequence_of_configs(self, two_cpus):
         configs = [lossy_config(protocol, strategy, rounds)
-                   for rounds in (4097, 20_000) for protocol, strategy in PAIRINGS]
+                   for rounds in (CHUNK_ROUNDS + 1, 20_000) for protocol, strategy in PAIRINGS]
         pooled = []
         for config in configs:
             pooled.append(run(config, workers=2).as_dict())
@@ -383,7 +385,7 @@ class TestKeptPool:
 
         monkeypatch.setattr(harness, "_run_chunk", marked)
         stats = run(config, workers=2)
-        assert stats.lost == plain.lost + 1000 * 5
+        assert stats.lost == plain.lost + 1000 * -(-20_000 // CHUNK_ROUNDS)
         assert old._processes is None  # shut down before the new pool forked
         monkeypatch.setattr(harness, "_run_chunk", original)
         assert run(config, workers=2) == plain
@@ -422,7 +424,7 @@ class TestKeptPool:
         # Four threads at two worker counts: each run must get its own
         # statistics even as the other count replaces the pool.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        configs = [lossy_config(protocol, strategy, 20_000, seed=seed)
+        configs = [lossy_config(protocol, strategy, 3 * CHUNK_ROUNDS, seed=seed)
                    for seed, (protocol, strategy) in enumerate(PAIRINGS[:4])]
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as threads:
             pooled = list(threads.map(

@@ -1,4 +1,4 @@
-"""The vectorized chunk kernels against the round-by-round reference model.
+"""The bit-sliced chunk kernels against the round-by-round reference model.
 
 Both engines play the same configurations and must land inside 3-sigma
 binomial bands around the oracle values and the closed forms; the exact
@@ -6,17 +6,23 @@ claims (zero message-mode error under the copy attacks, the counter
 identities) are checked exactly.
 """
 
+import json
+import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from support import played_chunks
+from support import ScriptedRows, played_chunks, threshold_words
 from twoway_qkd.adversaries import AttackConfig, Strategy
 from twoway_qkd.channel import ChannelConfig, Protocol
-from twoway_qkd.harness import SimConfig, _chunk_rng, run
-from twoway_qkd.protocols import CHUNK_KERNELS, ROUND_FUNCTIONS, Tally
+from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig, _chunk_rng, run
+from twoway_qkd.protocols import CHUNK_KERNELS, ROUND_FUNCTIONS, Tally, _below
 
 KERNEL_ROUNDS = 100_000
 REFERENCE_ROUNDS = 20_000
@@ -139,7 +145,7 @@ def test_reference_matches_closed_forms(case):
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_counter_identities_hold_on_every_chunk(case):
-    config = config_of(case, 10 * 4096 + 123)
+    config = config_of(case, 10 * CHUNK_ROUNDS + 123)
     played, _ = played_chunks(config)
     assert [index for index, _, _ in played] == list(range(11))
     for _, n, t in played:
@@ -182,14 +188,42 @@ def test_q_zero_matches_attack_free_stream(protocol):
     assert clean.eve_rounds == 0
 
 
-def test_chunk_rng_is_a_pcg64_generator_per_chunk():
+UNIFORMS = [0.0, 5e-324, 2.0**-53, 0.25, math.nextafter(0.3, 0.0), 0.3,
+            math.nextafter(0.3, 1.0), math.nextafter(0.5, 0.0), 0.5, 0.75, 1.0 - 2.0**-53]
+
+
+@pytest.mark.parametrize(
+    "p", [0.0, 5e-324, 2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, 1.0, np.float64(0.25)], ids=repr
+)
+def test_threshold_row_is_exact(p):
+    rng = ScriptedRows([(p, UNIFORMS)])
+    row = _below(rng, len(UNIFORMS), p)
+    rng.assert_spent()
+    assert [row >> i & 1 for i in range(len(UNIFORMS))] == [u < Fraction(p) for u in UNIFORMS]
+    # One word per digit of p, up to the last lane's first disagreement.
+    words = {0.0: 0, 1.0: 0, 0.5: 1, 2.0**-53: 53, 5e-324: 1074, 1.0 - 2.0**-53: 53}
+    if p in words:
+        assert len(threshold_words(p, UNIFORMS)) == words[p]
+
+
+def test_chunk_rng_is_a_stable_random_per_chunk():
+    # Seeded from a string, which random hashes with SHA-512, so the stream
+    # cannot depend on the interpreter's hash seed.
+    script = (
+        "import json; from twoway_qkd.harness import _chunk_rng; print(json.dumps("
+        "[_chunk_rng(s, i).getrandbits(64) for s, i in ((7, 3), (7, 4), (8, 3), (1, 23), (12, 3))]))"
+    )
+    draws = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        draws.append(json.loads(result.stdout))
+    assert draws[0] == draws[1]
+    assert len(set(draws[0])) == 5
     rng = _chunk_rng(7, 3)
-    assert isinstance(rng, np.random.Generator)
-    assert isinstance(rng.bit_generator, np.random.PCG64)
-    first = rng.random(4).tolist()
-    assert first == _chunk_rng(7, 3).random(4).tolist()
-    assert first != _chunk_rng(7, 4).random(4).tolist()
-    assert first != _chunk_rng(8, 3).random(4).tolist()
+    assert isinstance(rng, random.Random)
+    assert rng.getrandbits(64) == draws[0][0]
 
 
 def test_run_never_calls_the_reference(monkeypatch):

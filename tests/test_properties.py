@@ -1,7 +1,8 @@
-"""Property tests: counter algebra, the chunk plan, config validation over
-non-finite and boundary floats, and grid endpoint snapping."""
+"""Property tests: counter algebra, the chunk plan, threshold rows, config
+validation over non-finite and boundary floats, and grid endpoint snapping."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from support import played_chunks  # noqa: E402
+from support import ScriptedRows, played_chunks  # noqa: E402
 
 from twoway_qkd.adversaries import AttackConfig  # noqa: E402
 from twoway_qkd.analysis import disturbance_grid  # noqa: E402
 from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol  # noqa: E402
 from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig  # noqa: E402
-from twoway_qkd.protocols import Tally  # noqa: E402
+from twoway_qkd.protocols import Tally, _below  # noqa: E402
 
 # Few examples per property keeps the whole suite well inside its time budget.
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -73,6 +74,33 @@ class TestChunkPlan:
         assert len(plan) == -(-rounds // CHUNK_ROUNDS)
         assert all(n == CHUNK_ROUNDS for _, n in plan[:-1])
         assert 0 < plan[-1][1] <= CHUNK_ROUNDS
+
+
+@st.composite
+def threshold_cases(draw):
+    """A threshold p and lane uniforms, some of them at or next to p."""
+    p = draw(st.one_of(st.sampled_from([0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]),
+                       st.floats(min_value=0.0, max_value=1.0)))
+    near = [u for u in (p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)) if u < 1.0]
+    uniforms = st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                         st.sampled_from(near))
+    return p, draw(st.lists(uniforms, min_size=1, max_size=40))
+
+
+class TestThresholdRow:
+    @PROPERTY
+    @given(threshold_cases())
+    def test_each_lane_is_its_uniform_below_p(self, case):
+        # The script serves each lane's binary digits for as many words as
+        # deciding that lane takes, and fails on one word more or less.
+        p, lanes = case
+        rng = ScriptedRows([(p, lanes)])
+        row = _below(rng, len(lanes), p)
+        rng.assert_spent()
+        assert row >> len(lanes) == 0
+        assert [row >> i & 1 for i in range(len(lanes))] == [
+            Fraction(u) < Fraction(p) for u in lanes
+        ]
 
 
 class TestConfigValidation:

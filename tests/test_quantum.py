@@ -116,6 +116,16 @@ class TestMeasure:
         bit, post = measure(PLUS, Basis.Z, 0.51)
         assert (bit, post) == (1, ONE)
 
+    def test_cross_basis_coin_is_exactly_fair(self):
+        # (1/sqrt(2))^2 computes as 1/2 - 2**-53; the coin must still split
+        # the draw's grid at exactly 1/2.
+        below_half = 0.5 - 2.0**-53
+        assert R * R == below_half
+        assert measure(PLUS, Basis.Z, below_half) == (0, ZERO)
+        assert measure(PLUS, Basis.Z, 0.5) == (1, ONE)
+        assert bell_measure(PairState((0.0, 1.0, 0.0, 0.0)), below_half) is BellOutcome.SPLIT
+        assert measure_photon(prepare_bell(BellState.PSI_MINUS), 2, Basis.Z, below_half)[0] == 0
+
     def test_phase_does_not_affect_statistics(self):
         minus_one = QubitState(0.0, -1.0)
         assert measure(minus_one, Basis.Z, 0.9999)[0] == 1
