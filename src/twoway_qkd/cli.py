@@ -88,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--detector-efficiency", type=float, default=1.0)
     sim.add_argument("--dark-count-prob", type=float, default=0.0)
     sim.add_argument("--workers", type=_workers_arg, default=1,
-                     help="processes to spread chunks over (result-neutral; "
-                     "capped at the chunk and CPU counts)")
+                     help="processes to spread chunks over (result-neutral; at "
+                     "most one per CPU and per 2048 chunks, so runs of fewer "
+                     "than 4096 chunks play in-process)")
     _output_args(sim, default_format="json")
     sim.set_defaults(func=_cmd_simulate)
 

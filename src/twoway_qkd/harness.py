@@ -20,11 +20,9 @@ every process, platform and ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-import atexit
 import numbers
 import os
 import random
-import threading
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -33,9 +31,11 @@ from .channel import ChannelConfig, ConfigError, Protocol
 from .protocols import CHUNK_KERNELS, Tally
 
 # Rounds per chunk, one bit each in the kernel's ints.  Larger chunks spread
-# each chunk's seeding and threshold walks over more rounds; at this size a
-# 2e4-round run still has two chunks for a pool to split.
+# each chunk's seeding and threshold walks over more rounds.
 CHUNK_ROUNDS = 16384
+
+# Chunks per pool process: on 2 CPUs --workers 2 lost at 2048 chunks, won at 4096.
+POOL_MIN_CHUNKS = 2048
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +105,9 @@ def _run_chunk(config: SimConfig, index: int, n_rounds: int) -> Tally:
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
-    """Processes worth starting: never more than there are chunks or CPUs."""
-    return min(workers, n_chunks, os.cpu_count() or 1)
+    """Processes worth starting: no more than the CPUs, and few enough that
+    each gets :data:`POOL_MIN_CHUNKS` chunks; 1 means play in-process."""
+    return max(1, min(workers, n_chunks // POOL_MIN_CHUNKS, os.cpu_count() or 1))
 
 
 def _merged(tallies) -> Tally:
@@ -125,51 +126,18 @@ def _run_chunks(config: SimConfig, first: int, last: int) -> Tally:
     )
 
 
-# The pool kept between runs, as (key, executor), or None before the first.
-# Pooled runs hold the lock, so no thread replaces a pool another is using.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _close_pool() -> None:
-    """Shut the kept pool down and forget it; also run at interpreter exit,
-    while the modules its shutdown needs are still loaded."""
-    global _pool
-    if _pool is not None:
-        pool, _pool = _pool[1], None
-        pool.shutdown(cancel_futures=True)
-
-
-atexit.register(_close_pool)
-
-
-def _process_pool(workers: int):
-    """The kept pool of ``workers`` processes, started on first use."""
-    global _pool
-    # Forked workers are a snapshot of this module as it was at the fork.
-    # Whoever replaces _run_chunk or _chunk_rng (a tracer, a test) needs
-    # workers that play the replacement, so the pool is keyed on them.
-    key = (workers, _run_chunk, _chunk_rng)
-    if _pool is not None and (_pool[0] != key or _pool[1]._broken):
-        _close_pool()  # before the new pool forks, with no manager thread alive
-    if _pool is None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        _pool = (key, ProcessPoolExecutor(max_workers=workers))
-    return _pool[1]
-
-
 def run(config: SimConfig, workers: int = 1) -> RunStats:
     """Execute a run and return its merged statistics.
 
     ``workers`` only distributes chunks over processes; it is not part of
     the configuration and has no effect on the result.  The pool is capped
-    by :func:`_pool_size`; a run capped to one process plays every chunk
-    in-process, starts no pool and imports no :mod:`multiprocessing`.  A
-    pool gets about four contiguous ranges of chunk indices per worker.
+    by :func:`_pool_size`; a run capped to one process, as every run of
+    fewer than ``2 * POOL_MIN_CHUNKS`` chunks is, plays every chunk
+    in-process, starts no pool and imports no :mod:`multiprocessing`.
+    Otherwise the run starts its own pool, gives it about four contiguous
+    ranges of chunk indices per worker and shuts it down before returning.
     Neither schedule builds a per-chunk plan, so memory does not grow with
-    ``config.rounds``.  The pool is kept for the next run of this process
-    and shut down at exit; a pool that a run saw fail is not reused.
+    ``config.rounds``.
     """
     if not isinstance(workers, numbers.Integral) or isinstance(workers, bool) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
@@ -177,11 +145,10 @@ def run(config: SimConfig, workers: int = 1) -> RunStats:
     workers = _pool_size(int(workers), n)
     if workers == 1:
         return _run_chunks(config, 0, n)
+    from concurrent.futures import ProcessPoolExecutor
+
     firsts = range(0, n, max(1, n // (workers * 4)))
-    with _pool_lock:
-        pool = _process_pool(workers)
-        try:
-            return _merged(pool.map(_run_chunks, repeat(config), firsts, [*firsts[1:], n]))
-        except BaseException:
-            _close_pool()
-            raise
+    # Forked for this run, so workers play the current _run_chunk and
+    # _chunk_rng, including a tracer's or a test's replacement.
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _merged(pool.map(_run_chunks, repeat(config), firsts, [*firsts[1:], n]))

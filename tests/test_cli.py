@@ -10,6 +10,7 @@ import pytest
 
 from twoway_qkd import __version__
 from twoway_qkd.cli import main
+from twoway_qkd.harness import CHUNK_ROUNDS, POOL_MIN_CHUNKS
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -296,11 +297,14 @@ class TestEntrypoints:
             # 4096 rounds are one chunk, so --workers 2 is capped to one.
             ["--rounds", "4096", "--cm-prob", "0.25", "--workers", "2"],
             ["--rounds", "10000", "--cm-prob", "0.25", "--workers", "1"],
+            # 13 chunks are too few to pay for a pool.
+            ["--rounds", "200000", "--cm-prob", "0.25", "--workers", "2"],
         ],
     )
     def test_serial_run_imports_no_process_pool(self, argv):
         script = textwrap.dedent(f"""
-            import sys
+            import os, sys
+            os.cpu_count = lambda: 2
             from twoway_qkd.cli import main
             code = main(["simulate", "--protocol", "pp", "--attack", "nguyen", *{argv!r}])
             pool = [name for name in sys.modules
@@ -397,27 +401,38 @@ class TestImportFloor:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_simulate_loads_no_numpy(self, workers):
-        # With two CPUs, --workers 2 plays its chunks in a real pool; the
-        # workers are asked too.
+        # With two CPUs and a pool from two chunks, --workers 2 plays its
+        # chunks in a real pool; its workers are asked too, after the run.
         result = run_fresh(f"""
-            import os, sys
+            import concurrent.futures, os, sys
             os.cpu_count = lambda: 2
             from twoway_qkd import harness
             from twoway_qkd.cli import main
+
+            asked = []
+
+            class AskingPool(concurrent.futures.ProcessPoolExecutor):
+                def map(self, fn, *iterables):
+                    tallies = list(super().map(fn, *iterables))
+                    asked.extend(super().map(eval, ["'numpy' in __import__('sys').modules"] * 4))
+                    return tallies
+
+            concurrent.futures.ProcessPoolExecutor = AskingPool
+            harness.POOL_MIN_CHUNKS = 1
             code = main(["simulate", "--protocol", "lm05", "--attack", "lucamarini",
                          "--cm-prob", "0.25", "--rounds", "40000", "--workers", "{workers}"])
-            loaded = ["numpy" in sys.modules]
-            if harness._pool is not None:
-                loaded += harness._pool[1].map(eval, ["'numpy' in __import__('sys').modules"] * 4)
-            print(code, any(loaded), harness._pool is not None, file=sys.stderr)
+            print(code, "numpy" in sys.modules or any(asked), bool(asked), file=sys.stderr)
         """)
         assert result.returncode == 0, result.stderr
         assert result.stderr.strip() == f"0 False {workers == '2'}"
 
     def test_pool_starts_after_the_engine_loads(self):
         # The parent imports the engine before the pool forks, so workers
-        # share its modules instead of each importing them.
-        result = run_fresh("""
+        # share its modules instead of each importing them.  The run is the
+        # smallest that pools, since lowering the threshold here would mean
+        # importing the engine first.
+        rounds = 2 * POOL_MIN_CHUNKS * CHUNK_ROUNDS
+        result = run_fresh(f"""
             import concurrent.futures, os, sys
             from twoway_qkd.cli import main
 
@@ -427,24 +442,44 @@ class TestImportFloor:
                     loaded = [name for name in seen if name in sys.modules]
                     print(max_workers, loaded, file=sys.stderr)
 
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc_info):
+                    pass
+
                 def map(self, fn, *iterables):
                     return map(fn, *iterables)
-
-                def shutdown(self, wait=True, *, cancel_futures=False):
-                    pass
 
             concurrent.futures.ProcessPoolExecutor = StandInPool
             os.cpu_count = lambda: 2
             sys.exit(main(["simulate", "--protocol", "pp", "--attack", "nguyen",
-                           "--rounds", "20000", "--workers", "2"]))
+                           "--rounds", "{rounds}", "--workers", "2"]))
         """)
         assert result.returncode == 0, result.stderr
         assert result.stderr.strip() == "2 ['twoway_qkd.protocols']"
-        assert json.loads(result.stdout)["stats"]["rounds"] == 20000
+        assert json.loads(result.stdout)["stats"]["rounds"] == rounds
 
 
 class TestReproducibility:
     def test_output_is_byte_identical_across_workers_and_hash_seeds(self):
+        # Three CPUs and a pool from two chunks, so --workers 2 and 3 each
+        # start a real pool of that many processes on the run's four chunks.
+        script = textwrap.dedent("""
+            import concurrent.futures, os, sys
+            os.cpu_count = lambda: 3
+            from twoway_qkd import harness
+            from twoway_qkd.cli import main
+
+            class Pool(concurrent.futures.ProcessPoolExecutor):
+                def __init__(self, max_workers):
+                    print("pool", max_workers, file=sys.stderr)
+                    super().__init__(max_workers)
+
+            concurrent.futures.ProcessPoolExecutor = Pool
+            harness.POOL_MIN_CHUNKS = 1
+            sys.exit(main(sys.argv[1:]))
+        """)
         argv = ["simulate", "--protocol", "lm05", "--attack", "lucamarini", "--q", "0.6",
                 "--cm-prob", "0.3", "--p-segment", "0.9", "--dark-count-prob", "0.01",
                 "--rounds", "50000", "--seed", "17"]
@@ -453,10 +488,11 @@ class TestReproducibility:
             for workers in ("1", "2", "3"):
                 env = {**os.environ, "PYTHONHASHSEED": hash_seed}
                 result = subprocess.run(
-                    [sys.executable, "-m", "twoway_qkd", *argv, "--workers", workers],
+                    [sys.executable, "-c", script, *argv, "--workers", workers],
                     env=env, capture_output=True, text=True,
                 )
                 assert result.returncode == 0, result.stderr
+                assert result.stderr == ("" if workers == "1" else f"pool {workers}\n")
                 outputs.add(result.stdout)
         assert len(outputs) == 1
         assert json.loads(outputs.pop())["stats"]["rounds"] == 50000

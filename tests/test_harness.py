@@ -6,8 +6,8 @@ import signal
 import subprocess
 import sys
 import textwrap
-import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from twoway_qkd.analysis import binary_entropy
 from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol
 from twoway_qkd.harness import (
     CHUNK_ROUNDS,
+    POOL_MIN_CHUNKS,
     RunStats,
     SimConfig,
     _pool_size,
@@ -156,12 +157,10 @@ class TestRunStatsDerived:
 
 
 @pytest.fixture
-def no_kept_pool():
-    """Start and end with no kept pool, so a stand-in pool is the one built
-    and is not left behind for later runs."""
-    harness._close_pool()
-    yield
-    harness._close_pool()
+def pool_from_one_chunk(monkeypatch):
+    """A pool for any run of two or more chunks, so that small configurations
+    at ``workers > 1`` still fork a real one."""
+    monkeypatch.setattr(harness, "POOL_MIN_CHUNKS", 1)
 
 
 def lm05_config(rounds):
@@ -202,7 +201,7 @@ class TestChunkPlan:
         assert stats.rounds == rounds
         assert stats.mm_rounds + stats.cm_rounds == rounds
 
-    def test_pool_gets_a_few_index_ranges_at_any_length(self, monkeypatch, no_kept_pool):
+    def test_pool_gets_a_few_index_ranges_at_any_length(self, monkeypatch):
         # A million chunks: each pool task must be a (config, first, last)
         # range, and planning them must not allocate per chunk.
         tasks = []
@@ -211,7 +210,10 @@ class TestChunkPlan:
             def __init__(self, max_workers):
                 assert max_workers == 2
 
-            def shutdown(self, wait=True, *, cancel_futures=False):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
                 pass
 
             def map(self, fn, *iterables):
@@ -247,7 +249,7 @@ class TestDeterminism:
         b = run(pp_config(seed=1))
         assert a != b
 
-    def test_stats_do_not_depend_on_chunk_schedule(self):
+    def test_stats_do_not_depend_on_chunk_schedule(self, pool_from_one_chunk):
         config = pp_config(rounds=3 * CHUNK_ROUNDS)
         baseline = run(config, workers=1).as_dict()
         for workers in (2, 3):
@@ -260,7 +262,7 @@ class TestDeterminism:
             (Protocol.LM05, Strategy.LUCAMARINI),
         ],
     )
-    def test_parallel_identity_other_protocols(self, protocol, strategy):
+    def test_parallel_identity_other_protocols(self, protocol, strategy, pool_from_one_chunk):
         config = SimConfig(
             protocol=protocol,
             rounds=2 * CHUNK_ROUNDS + 100,
@@ -278,24 +280,27 @@ class TestDeterminism:
             run(pp_config(rounds=10), workers=0)
 
     @pytest.mark.parametrize("workers", [1.5, 2.5, 2.0, True, False, "2", None, -1])
-    def test_workers_must_be_a_positive_int(self, workers, monkeypatch, no_kept_pool):
+    def test_workers_must_be_a_positive_int(self, workers, monkeypatch, pool_from_one_chunk):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             run(pp_config(rounds=3 * CHUNK_ROUNDS), workers=workers)
-        assert harness._pool is None
 
-    def test_numpy_integer_workers(self):
+    def test_numpy_integer_workers(self, pool_from_one_chunk):
         config = pp_config(rounds=2 * CHUNK_ROUNDS)
         assert run(config, workers=np.int64(2)) == run(config)
 
 
-def test_pool_size_is_capped_by_chunks_and_cpus():
+def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
     # Checked through the pure helper only; no pool is started.
     cpus = os.cpu_count() or 1
-    assert _pool_size(10**6, 10**6) == cpus
-    assert _pool_size(10**6, 3) == min(3, cpus)
+    assert _pool_size(10**6, 10**6 * POOL_MIN_CHUNKS) == cpus
+    assert _pool_size(10**6, 3 * POOL_MIN_CHUNKS) == min(3, cpus)
     assert _pool_size(10**6, 1) == 1
-    assert _pool_size(1, 500) == 1
+    assert _pool_size(1, 500 * POOL_MIN_CHUNKS) == 1
+    # Each process must get POOL_MIN_CHUNKS chunks.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _pool_size(2, 2 * POOL_MIN_CHUNKS - 1) == 1
+    assert _pool_size(2, 2 * POOL_MIN_CHUNKS) == 2
 
 
 class TestRunStatistics:
@@ -355,26 +360,17 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
-def kept_pool():
-    return harness._pool[1]
-
-
-class TestKeptPool:
-    def test_one_pool_serves_a_sequence_of_configs(self, two_cpus):
+@pytest.mark.usefixtures("pool_from_one_chunk")
+class TestPoolPerRun:
+    def test_pooled_runs_of_a_sequence_of_configs_match_serial(self, two_cpus):
         configs = [lossy_config(protocol, strategy, rounds)
                    for rounds in (CHUNK_ROUNDS + 1, 20_000) for protocol, strategy in PAIRINGS]
-        pooled = []
-        for config in configs:
-            pooled.append(run(config, workers=2).as_dict())
-            if len(pooled) == 1:
-                first = kept_pool()
-            assert kept_pool() is first
+        pooled = [run(config, workers=2).as_dict() for config in configs]
         assert pooled == [run(config, workers=1).as_dict() for config in configs]
 
-    def test_a_replaced_chunk_function_gets_fresh_workers(self, two_cpus, monkeypatch):
+    def test_a_replaced_chunk_function_reaches_the_workers(self, two_cpus, monkeypatch):
         config = lossy_config(Protocol.LM05, Strategy.LUCAMARINI, 20_000)
         plain = run(config, workers=2)
-        old = kept_pool()
         original = harness._run_chunk
 
         @functools.wraps(original)
@@ -386,24 +382,10 @@ class TestKeptPool:
         monkeypatch.setattr(harness, "_run_chunk", marked)
         stats = run(config, workers=2)
         assert stats.lost == plain.lost + 1000 * -(-20_000 // CHUNK_ROUNDS)
-        assert old._processes is None  # shut down before the new pool forked
         monkeypatch.setattr(harness, "_run_chunk", original)
         assert run(config, workers=2) == plain
 
-    def test_a_pool_broken_between_runs_is_replaced(self, two_cpus):
-        config = lossy_config(Protocol.PP, Strategy.NGUYEN, 20_000)
-        expected = run(config, workers=1)
-        assert run(config, workers=2) == expected
-        pool = kept_pool()
-        os.kill(next(iter(pool._processes)), signal.SIGKILL)
-        deadline = time.monotonic() + 30
-        while not pool._broken:
-            assert time.monotonic() < deadline, "the pool never saw its worker die"
-            time.sleep(0.01)
-        assert run(config, workers=2) == expected
-        assert kept_pool() is not pool
-
-    def test_a_worker_dying_mid_run_raises_and_drops_the_pool(self, two_cpus, monkeypatch):
+    def test_a_worker_dying_mid_run_raises(self, two_cpus, monkeypatch):
         config = lossy_config(Protocol.BB84, Strategy.INTERCEPT_RESEND, 20_000)
         parent = os.getpid()
         original = harness._run_chunk
@@ -414,15 +396,13 @@ class TestKeptPool:
             return original(*args)
 
         monkeypatch.setattr(harness, "_run_chunk", die)
-        with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+        with pytest.raises(BrokenProcessPool):
             run(config, workers=2)
-        assert harness._pool is None
         monkeypatch.setattr(harness, "_run_chunk", original)
         assert run(config, workers=2) == run(config, workers=1)
 
-    def test_threads_share_the_pool_safely(self, monkeypatch):
-        # Four threads at two worker counts: each run must get its own
-        # statistics even as the other count replaces the pool.
+    def test_threads_each_get_their_own_stats(self, monkeypatch):
+        # Four threads at two worker counts, each run with a pool of its own.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         configs = [lossy_config(protocol, strategy, 3 * CHUNK_ROUNDS, seed=seed)
                    for seed, (protocol, strategy) in enumerate(PAIRINGS[:4])]
@@ -432,19 +412,22 @@ class TestKeptPool:
             ))
         assert pooled == [[run(config, workers=1)] * 4 for config in configs]
 
-    def test_interpreter_exits_cleanly_with_a_kept_pool(self):
-        # The main module holds harness, so its pool outlives the teardown
-        # of concurrent.futures unless it is shut down at exit.
+    def test_interpreter_exits_cleanly_after_pooled_runs(self):
+        # Each pool is shut down before its run returns, so no worker is
+        # left for interpreter exit.
         script = textwrap.dedent("""
-            import os
+            import multiprocessing, os, sys
             os.cpu_count = lambda: 2
             from twoway_qkd import harness
             from twoway_qkd.adversaries import AttackConfig, Strategy
             from twoway_qkd.channel import Protocol
+            harness.POOL_MIN_CHUNKS = 1
             config = harness.SimConfig(
                 protocol=Protocol.PP, rounds=20000, seed=4, cm_prob=0.25,
                 attack=AttackConfig(strategy=Strategy.NGUYEN, q=0.5))
             first, second = harness.run(config, workers=2), harness.run(config, workers=2)
+            assert "concurrent.futures.process" in sys.modules
+            assert multiprocessing.active_children() == []
             assert first == second == harness.run(config)
         """)
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -12,7 +12,9 @@ process, two at a time:
 * ``analyze --d-grid 0:0.5:0.00001`` and ``table --p-segment 0.37`` in both
   formats;
 * ``simulate`` at ``--workers 1``, ``2`` and ``3`` for 1, 4097, 16383, 16385,
-  2e5 and 1e6 rounds on the three attacked pairings, lossy with dark counts;
+  2e5 and 1e6 rounds on the three attacked pairings, lossy with dark counts,
+  and for ``lm05``/``lucamarini`` at ``2 * POOL_MIN_CHUNKS * CHUNK_ROUNDS``
+  rounds, the fewest that ``harness`` plays in a pool;
 * ``--version``, and commands that end in each documented non-zero exit
   code: 2 (``--workers 0``), 3 (an attack foreign to the protocol, ``--q 2``,
   a non-finite ``--d-grid``, ``table --p-segment 0``) and 4 (``--output``
@@ -22,14 +24,14 @@ Each command's exit code, stdout and stderr must match between the trees,
 in the working tree the three worker counts must also match each other, and
 each error-path command must end in its documented exit code.  Then each
 tree runs every ``simulate`` command above at ``--workers 2`` through one
-interpreter's ``cli.main``, one after another, so that one process pool
-serves them all; each output must match that tree's per-process output,
-and the interpreter must exit 0 with nothing else on stderr.  Last, each
-tree plays its reference model, ``protocols.ROUND_FUNCTIONS``, in-process
-on the six pairings, the four channels and q in {0.4, 1} at a fixed seed,
-and the tallies must match.  Exits 0 if everything matches, 1 naming the
-first command or reference case that differs, and 2 if REF cannot be
-unpacked.
+interpreter's ``cli.main``, one after another, so that pooled runs start and
+shut down their pools between runs played in-process; each output must
+match that tree's per-process output, and the interpreter must exit 0 with
+nothing else on stderr.  Last, each tree plays its reference model,
+``protocols.ROUND_FUNCTIONS``, in-process on the six pairings, the four
+channels and q in {0.4, 1} at a fixed seed, and the tallies must match.
+Exits 0 if everything matches, 1 naming the first command or reference case
+that differs, and 2 if REF cannot be unpacked.
 
 A change that alters the engine's random stream on purpose changes every
 ``simulate`` command's statistics (the JSON ``stats`` object, the CSV data
@@ -51,6 +53,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from twoway_qkd.harness import CHUNK_ROUNDS, POOL_MIN_CHUNKS
 
 PAIRINGS = [
     ("bb84", "none"),
@@ -90,13 +95,15 @@ def sweep() -> list[list[str]]:
 
 def worker_cases() -> list[list[list[str]]]:
     """Groups of commands that differ only in ``--workers``."""
+    sizes = [(pairing, rounds) for pairing in ATTACKED
+             for rounds in ("1", "4097", "16383", "16385", "200000", "1000000")]
+    sizes.append((("lm05", "lucamarini"), str(2 * POOL_MIN_CHUNKS * CHUNK_ROUNDS)))
     return [
         [simulate(protocol, attack, "--q", "0.5", "--rounds", rounds, "--seed", "5",
                   "--p-segment", "0.9", "--dark-count-prob", "0.01",
                   "--format", "csv", "--workers", workers)
          for workers in WORKERS]
-        for protocol, attack in ATTACKED
-        for rounds in ("1", "4097", "16383", "16385", "200000", "1000000")
+        for (protocol, attack), rounds in sizes
     ]
 
 
