@@ -7,9 +7,10 @@ reads each two-way scheme's message mode without disturbing it.  A
 closed-form layer supplies the mutual-information curves and the critical
 disturbance the baseline is judged against.
 
-The round-by-round reference model the chunk kernels are tested against
-(:mod:`.quantum` and ``protocols.ROUND_FUNCTIONS``) is importable from
-those modules, not from here.
+The engine, :mod:`.harness`, holds the chunk kernels and the counters.
+The round-by-round reference model they are tested against (:mod:`.quantum`
+and :mod:`.protocols`) is importable from those modules, not from here, and
+no run imports it.
 """
 
 __version__ = "0.1.0"

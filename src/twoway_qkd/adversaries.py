@@ -1,7 +1,7 @@
 """Eavesdropping strategies and the protocols each one fits.
 
 Eve is present in a round with probability ``q``, an i.i.d. coin; the round
-bodies of :mod:`twoway_qkd.protocols` play the attacks, in both engines.
+bodies of both engines, :mod:`.harness` and :mod:`.protocols`, play the attacks.
 
 Two of the strategies are the known transparent attacks on two-way schemes:
 the attacker detaches the information carrier on the forward leg, hands the

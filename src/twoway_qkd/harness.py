@@ -1,4 +1,5 @@
-"""Run orchestration: seeding, chunking, parallelism and aggregate statistics.
+"""The engine: seeding, chunking, the bit-sliced chunk kernels, the round
+counters, parallelism and aggregate statistics.
 
 Reproducibility contract: a run is fully determined by its
 :class:`SimConfig`.  Rounds are processed in fixed-size chunks and every
@@ -7,15 +8,65 @@ and the chunk index alone, so the schedule (sequential or any worker count)
 cannot change a single outcome.  Chunk tallies are plain integer counters
 merged by addition, which is order-insensitive; derived statistics are
 computed once from the merged integers.  Two runs of the same config
-therefore serialize byte-identically at any parallelism.
+therefore serialize byte-identically at any parallelism.  A chunk's
+:class:`random.Random` is seeded with the string ``"<seed>:<chunk index>"``;
+a string seed is hashed with SHA-512, so the substream is the same on every
+process, platform and ``PYTHONHASHSEED``.
 
-Each chunk is played by one bit-sliced kernel from
-:data:`twoway_qkd.protocols.CHUNK_KERNELS`, which holds one bit per round
-in a Python int.  It draws its fair and threshold rows as ``getrandbits``
-words (the layout is in :mod:`twoway_qkd.protocols`) from the chunk's own
-:class:`random.Random`, seeded with the string ``"<seed>:<chunk index>"``.
-A string seed is hashed with SHA-512, so the substream is the same on
-every process, platform and ``PYTHONHASHSEED``.
+Chunk kernels
+-------------
+:data:`CHUNK_KERNELS` holds one kernel per protocol.  A kernel plays ``n``
+rounds at once: each row holds one bit per round, lane i in bit i of a
+Python int, and a counter is the popcount of a row masked by the rounds it
+covers.  One skeleton spends the presence, mode and loss draws and books
+the outcome into a :class:`Tally` with :func:`_book`, around a per-protocol
+body that plays only the physics.  Control mode is decided by the encoding
+party after the forward leg, so an interposed attacker has already
+committed her substitution by the time the round is declared a check round.
+Control rounds have no return leg.  Dark counts are modeled crudely: a lost
+round that fires the detector anyway gives the measuring side uniformly
+random outcomes and contributes no eavesdropper knowledge.
+
+The states are Z and X eigenstates and the psi-/psi+ pair, and the
+HWP(0 deg) sign flip and the ZX flip map each to another, so every Born
+probability is 0, 1/2 or 1:
+
+* an eigenstate measured in its own basis gives its bit, and the beam
+  splitter reads psi- as split and psi+ as bunch, with certainty;
+* an eigenstate in the other basis, either photon of a psi- pair in Z (its
+  partner then reads the complement) and a dark firing give a fair coin.
+
+A measurement is therefore ``(bit & exact) | (coin & ~exact)``, and the
+copy attacks leave message mode error-free by construction, not to within
+rounding.  Each round is worked out for both modes; the mode row picks
+what is booked.
+
+Per-chunk draw layout.  A fair row, a bit or a coin, is one word,
+``rng.getrandbits(n)``, spent for all rounds whether or not a round uses
+it.  A threshold row, ``u < p`` for a real p, is :func:`_below`: each
+round's uniform u is drawn one binary digit per word until it differs
+from p's, about log2(n) + 2 words, and none at p <= 0 or p >= 1.  A row
+that is never read, such as Eve's certain reads under the copy attacks,
+is still spent, so that every row keeps its place in the stream whatever
+the attack.  The skeleton spends, in order:
+
+1. Eve's presence row, ``u < q``, only under an attack, so that q = 0
+   with any strategy, and no strategy at any q, play the attack-free
+   stream.
+2. (two-way only) the control-mode row, ``u < cm_prob``.
+3. Photon survival, ``u < T`` against the compounded transmittance, then
+   the dark-count row, which counts on lost rounds only.
+
+Then the body, one word per fair row, attack rows included whether or not
+Eve is present:
+
+* ``bb84``: Alice's bit, Alice's basis, Eve's basis, Eve's measurement,
+  Bob's basis, Bob's measurement.
+* ``pp``: Alice's draw (her message bit, or her photon-2 measurement in
+  control mode), Eve's Bell measurement, Bob's measurement.
+* ``lm05``: Bob's prepared bit and basis, the decoy bit and basis, Alice's
+  choice (her message bit, or her control basis), Alice's control
+  measurement, Eve's decoy measurement, Bob's measurement.
 """
 
 from __future__ import annotations
@@ -23,12 +74,12 @@ from __future__ import annotations
 import numbers
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 from .adversaries import AttackConfig, validate_attack
-from .channel import ChannelConfig, ConfigError, Protocol
-from .protocols import CHUNK_KERNELS, Tally
+from .analysis import binary_entropy
+from .channel import ChannelConfig, ConfigError, Protocol, Strategy
 
 # Rounds per chunk, one bit each in the kernel's ints.  Larger chunks spread
 # each chunk's seeding and threshold walks over more rounds.
@@ -36,6 +87,272 @@ CHUNK_ROUNDS = 16384
 
 # Chunks per pool process: on 2 CPUs --workers 2 lost at 2048 chunks, won at 4096.
 POOL_MIN_CHUNKS = 2048
+
+_NONE = Strategy.NONE
+
+
+@dataclass(slots=True)
+class Tally:
+    """Integer round counters of a chunk or a whole run, and the statistics
+    derived from them.
+
+    Addition is associative and commutative, which is what makes chunked
+    and parallel runs merge into byte-identical results regardless of
+    schedule; derived statistics are computed from the merged integers.
+
+    Counter semantics, booked by :func:`_book` alone: of the ``rounds``
+    played, ``lost`` fired no detector, ``dark`` fired one with no photon,
+    and the attacker was present in ``eve_rounds``.  Of the detected rounds,
+    ``cm_rounds`` were control rounds, ``cm_errors`` of them showing an
+    error, and ``mm_rounds`` message rounds, from which the receiver decoded
+    ``raw_key`` key bits (for the sifted scheme, the basis-matched subset),
+    ``mm_errors`` of them wrong.  ``eve_cm_rounds``, ``eve_cm_errors`` and
+    ``eve_mm_rounds`` count the control rounds, their errors and the raw key
+    bits the attacker touched (never a dark firing), and ``eve_mm_correct``
+    those bits where her copy is right.  ``l_final`` is what is left of the
+    raw key after discarding every bit the attacker holds.
+    """
+
+    rounds: int = 0
+    lost: int = 0
+    dark: int = 0
+    mm_rounds: int = 0
+    cm_rounds: int = 0
+    raw_key: int = 0
+    mm_errors: int = 0
+    cm_errors: int = 0
+    eve_rounds: int = 0
+    eve_mm_rounds: int = 0
+    eve_mm_correct: int = 0
+    eve_cm_rounds: int = 0
+    eve_cm_errors: int = 0
+
+    def merge(self, other: "Tally") -> None:
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    @property
+    def yield_fraction(self) -> float:
+        """Detected rounds (including dark firings) over all rounds."""
+        return (self.rounds - self.lost) / self.rounds if self.rounds else 0.0
+
+    @property
+    def d_mm(self) -> float:
+        """Message-mode error rate over the raw key."""
+        return self.mm_errors / self.raw_key if self.raw_key else 0.0
+
+    @property
+    def d_cm(self) -> float:
+        """Control-mode error rate over all detected control rounds."""
+        return self.cm_errors / self.cm_rounds if self.cm_rounds else 0.0
+
+    @property
+    def d_cm_intercepted(self) -> float:
+        """Control-mode error rate over the attacker-present control rounds."""
+        return self.eve_cm_errors / self.eve_cm_rounds if self.eve_cm_rounds else 0.0
+
+    @property
+    def eve_known_fraction(self) -> float:
+        """Fraction of the raw key the attacker holds correctly."""
+        return self.eve_mm_correct / self.raw_key if self.raw_key else 0.0
+
+    @property
+    def l_final(self) -> int:
+        return self.raw_key - self.eve_mm_correct
+
+    @property
+    def i_ab_emp(self) -> float:
+        """1 - h(d_mm): what the parties share per raw key bit."""
+        return 1.0 - binary_entropy(min(self.d_mm, 1.0))
+
+    @property
+    def i_ae_emp(self) -> float:
+        """Attacker's information per raw key bit, from her coverage and
+        her conditional error rate on the rounds she touched."""
+        if not self.raw_key or not self.eve_mm_rounds:
+            return 0.0
+        coverage = self.eve_mm_rounds / self.raw_key
+        err = 1.0 - self.eve_mm_correct / self.eve_mm_rounds
+        return coverage * (1.0 - binary_entropy(err))
+
+    @property
+    def r_emp(self) -> float:
+        return self.i_ab_emp - self.i_ae_emp
+
+    def as_dict(self) -> dict[str, object]:
+        """Counters first, derived values after, in a fixed order."""
+        return {name: getattr(self, name) for name in _COUNTERS + _DERIVED}
+
+
+_COUNTERS = tuple(f.name for f in fields(Tally))
+_DERIVED = (
+    "yield_fraction",
+    "d_mm",
+    "d_cm",
+    "d_cm_intercepted",
+    "eve_known_fraction",
+    "l_final",
+    "i_ab_emp",
+    "i_ae_emp",
+    "r_emp",
+)
+
+
+# -- chunk kernels -----------------------------------------------------------
+
+
+def _below(rng: random.Random, n: int, p: float) -> int:
+    """A threshold row: lane i is set iff its own uniform u_i < p, exactly
+    for the float p.
+
+    The digits of each u_i are drawn one word per binary digit and compared
+    with the digits of p's exact ratio; a lane is decided at the first
+    digit where they differ.  The walk stops once no lane is undecided, or
+    after p's last 1-digit, past which an undecided u_i >= p.
+    """
+    if p <= 0.0:
+        return 0
+    lanes = (1 << n) - 1
+    if p >= 1.0:
+        return lanes
+    num, den = float(p).as_integer_ratio()
+    below, undecided = 0, lanes
+    for digit in range(den.bit_length() - 2, -1, -1):
+        word = rng.getrandbits(n)
+        if num >> digit & 1:
+            below |= undecided & ~word
+            undecided &= word
+        else:
+            undecided &= ~word
+        if not undecided:
+            break
+    return below
+
+
+def _where(mask: int, yes: int, no: int) -> int:
+    """Lane-wise select: ``yes`` where ``mask`` is set, ``no`` elsewhere.
+
+    A measurement of basis eigenstates is ``_where(exact, bit, coin)``: the
+    state's bit where the outcome is certain, a fair coin elsewhere."""
+    return (yes & mask) | (no & ~mask)
+
+
+def _book(tally, n, eve, cm, live, dark, error, eve_correct, keep) -> None:
+    """Add ``n`` played rounds to ``tally``.
+
+    ``eve``, ``cm`` and ``live`` mark the attacker's presence, control mode
+    and the surviving photons, ``dark`` the lost rounds whose detector fired
+    anyway.  ``error``, ``eve_correct`` and ``keep`` are the body's outcome;
+    ``keep`` marks the message rounds that sifting keeps (-1 keeps all).
+    Masks are ints with one lane per round, or bools for a single round; a
+    negative outcome mask (``~x``) is counted only after an and with a
+    non-negative one.
+    """
+    tally.rounds += n
+    tally.eve_rounds += eve.bit_count()
+    tally.dark += dark.bit_count()
+    eve &= ~dark  # a dark firing carries no eavesdropper knowledge
+    live |= dark
+    tally.lost += n - live.bit_count()
+
+    rows = cm & live
+    tally.cm_rounds += rows.bit_count()
+    tally.cm_errors += (rows & error).bit_count()
+    rows &= eve
+    tally.eve_cm_rounds += rows.bit_count()
+    tally.eve_cm_errors += (rows & error).bit_count()
+
+    rows = live & ~cm
+    tally.mm_rounds += rows.bit_count()
+    rows &= keep
+    tally.raw_key += rows.bit_count()
+    tally.mm_errors += (rows & error).bit_count()
+    rows &= eve
+    tally.eve_mm_rounds += rows.bit_count()
+    tally.eve_mm_correct += (rows & eve_correct).bit_count()
+
+
+def _chunk_kernel(body, two_way: bool):
+    """The shared chunk skeleton around one protocol body.
+
+    The body is called as ``body(rng, n, cm, dark, eve)`` with lane masks,
+    ``eve`` already cleared on dark firings, and returns the masks
+    ``(error, eve_correct, keep)`` that :func:`_book` counts.
+    """
+
+    def kernel(
+        rng: random.Random,
+        n: int,
+        strategy: Strategy,
+        q: float,
+        cm_prob: float,
+        transmittance: float,
+        dark_prob: float,
+    ) -> Tally:
+        eve = _below(rng, n, q) if strategy is not _NONE else 0
+        cm = _below(rng, n, cm_prob) if two_way else 0
+        live = _below(rng, n, transmittance)
+        dark = _below(rng, n, dark_prob) & ~live
+        tally = Tally()
+        _book(tally, n, eve, cm, live, dark, *body(rng, n, cm, dark, eve & ~dark))
+        return tally
+
+    kernel.__doc__ = body.__doc__
+    return kernel
+
+
+def _bb84_chunk(rng, n, cm, dark, eve):
+    """Prepare-and-measure rounds with optional intercept-resend."""
+    bits = rng.getrandbits
+    a_bit, a_x, e_x = bits(n), bits(n), bits(n)
+    e_bit = _where(~(e_x ^ a_x), a_bit, bits(n))
+    # Bob receives Alice's state, or Eve's resent eigenstate where she is present.
+    s_bit = _where(eve, e_bit, a_bit)
+    s_x = _where(eve, e_x, a_x)
+    b_x = bits(n)
+    b_bit = _where(~((b_x ^ s_x) | dark), s_bit, bits(n))
+    return b_bit ^ a_bit, ~(e_bit ^ a_bit), ~(a_x ^ b_x)
+
+
+def _pp_chunk(rng, n, cm, dark, eve):
+    """Rounds of the Bell-pair protocol; see :func:`twoway_qkd.protocols._pp`."""
+    # Alice's message bit; in control mode the same row is her Z reading of
+    # photon 2, its complement.  Either way an error is a_bit != b_bit.
+    bits = rng.getrandbits
+    a_bit = bits(n)
+    bits(n)  # Eve's Bell analysis of her encoded probe: certain, unread
+    # Bob reads a_bit exactly (the decoded pair, or the partner photon) unless
+    # his detector fired dark or Eve's probe went to Alice in control mode.
+    b_bit = _where(~(dark | (cm & eve)), a_bit, bits(n))
+    return a_bit ^ b_bit, eve, -1  # Eve reads every bit she covers
+
+
+def _lm05_chunk(rng, n, cm, dark, eve):
+    """Rounds of the single-photon two-way protocol; see
+    :func:`twoway_qkd.protocols._lm05`."""
+    bits = rng.getrandbits
+    prep_bit, prep_x = bits(n), bits(n)
+    decoy_bit, decoy_x = bits(n), bits(n)
+    choice = bits(n)  # message bit, or control basis (1 = X)
+    # Alice receives Bob's qubit, or under attack Eve's decoy.
+    held_bit = _where(eve, decoy_bit, prep_bit)
+    held_x = _where(eve, decoy_x, prep_x)
+    a_cm = _where(~((choice ^ held_x) | dark), held_bit, bits(n))
+    bits(n)  # Eve's measurement of the returned decoy: certain, unread
+    # Bob's qubit comes back flipped by Alice's choice, or by Eve's replay of it.
+    m = _where(~dark, prep_bit ^ choice, bits(n))
+    error = _where(cm, ~(choice ^ prep_x) & (a_cm ^ prep_bit), m ^ prep_bit ^ choice)
+    return error, eve, -1
+
+
+CHUNK_KERNELS = {
+    Protocol.BB84: _chunk_kernel(_bb84_chunk, two_way=False),
+    Protocol.PP: _chunk_kernel(_pp_chunk, two_way=True),
+    Protocol.LM05: _chunk_kernel(_lm05_chunk, two_way=True),
+}
+
+
+# -- runs --------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)

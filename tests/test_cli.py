@@ -355,8 +355,9 @@ class TestEntrypoints:
 
 
 # Loaded by ``simulate`` only: the engine and everything it imports.
-ENGINE = ("twoway_qkd.adversaries", "twoway_qkd.harness",
-          "twoway_qkd.protocols", "twoway_qkd.quantum")
+ENGINE = ("twoway_qkd.adversaries", "twoway_qkd.harness")
+# The reference model, loaded by no subcommand.
+REFERENCE = ("twoway_qkd.protocols", "twoway_qkd.quantum")
 
 
 def run_fresh(script: str) -> subprocess.CompletedProcess:
@@ -384,7 +385,7 @@ class TestImportFloor:
                 {statement}
             except SystemExit as exc:  # --version exits through argparse
                 assert exc.code == 0, exc.code
-            print(sorted(set({ENGINE!r}) & set(sys.modules)), file=sys.stderr)
+            print(sorted(set({ENGINE + REFERENCE!r}) & set(sys.modules)), file=sys.stderr)
         """)
         assert result.returncode == 0, result.stderr
         assert result.stderr.strip() == "[]"
@@ -401,8 +402,11 @@ class TestImportFloor:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_simulate_loads_no_numpy(self, workers):
-        # With two CPUs and a pool from two chunks, --workers 2 plays its
-        # chunks in a real pool; its workers are asked too, after the run.
+        # Nor the reference model.  With two CPUs and a pool from two chunks,
+        # --workers 2 plays its chunks in a real pool; its workers are asked
+        # too, after the run.
+        unloaded = ("numpy", *REFERENCE)
+        ask = f"[name for name in {unloaded!r} if name in __import__('sys').modules]"
         result = run_fresh(f"""
             import concurrent.futures, os, sys
             os.cpu_count = lambda: 2
@@ -414,23 +418,25 @@ class TestImportFloor:
             class AskingPool(concurrent.futures.ProcessPoolExecutor):
                 def map(self, fn, *iterables):
                     tallies = list(super().map(fn, *iterables))
-                    asked.extend(super().map(eval, ["'numpy' in __import__('sys').modules"] * 4))
+                    asked.extend(super().map(eval, [{ask!r}] * 4))
                     return tallies
 
             concurrent.futures.ProcessPoolExecutor = AskingPool
             harness.POOL_MIN_CHUNKS = 1
             code = main(["simulate", "--protocol", "lm05", "--attack", "lucamarini",
                          "--cm-prob", "0.25", "--rounds", "40000", "--workers", "{workers}"])
-            print(code, "numpy" in sys.modules or any(asked), bool(asked), file=sys.stderr)
+            loaded = [name for name in {unloaded!r} if name in sys.modules]
+            print(code, loaded + sum(asked, []), bool(asked), file=sys.stderr)
         """)
         assert result.returncode == 0, result.stderr
-        assert result.stderr.strip() == f"0 False {workers == '2'}"
+        assert result.stderr.strip() == f"0 [] {workers == '2'}"
 
     def test_pool_starts_after_the_engine_loads(self):
         # The parent imports the engine before the pool forks, so workers
-        # share its modules instead of each importing them.  The run is the
-        # smallest that pools, since lowering the threshold here would mean
-        # importing the engine first.
+        # share its modules instead of each importing them, and neither numpy
+        # nor the reference model is among them.  The run is the smallest
+        # that pools, since lowering the threshold here would mean importing
+        # the engine first.
         rounds = 2 * POOL_MIN_CHUNKS * CHUNK_ROUNDS
         result = run_fresh(f"""
             import concurrent.futures, os, sys
@@ -438,7 +444,7 @@ class TestImportFloor:
 
             class StandInPool:
                 def __init__(self, max_workers):
-                    seen = ("numpy", "twoway_qkd.protocols")
+                    seen = ("numpy", "twoway_qkd.harness", *{REFERENCE!r})
                     loaded = [name for name in seen if name in sys.modules]
                     print(max_workers, loaded, file=sys.stderr)
 
@@ -457,7 +463,7 @@ class TestImportFloor:
                            "--rounds", "{rounds}", "--workers", "2"]))
         """)
         assert result.returncode == 0, result.stderr
-        assert result.stderr.strip() == "2 ['twoway_qkd.protocols']"
+        assert result.stderr.strip() == "2 ['twoway_qkd.harness']"
         assert json.loads(result.stdout)["stats"]["rounds"] == rounds
 
 

@@ -26,7 +26,7 @@ import pytest
 import oracles
 from support import ScriptedRows
 from twoway_qkd.channel import Protocol, Strategy
-from twoway_qkd.protocols import CHUNK_KERNELS, Tally
+from twoway_qkd.harness import CHUNK_KERNELS, Tally
 from twoway_qkd.quantum import (
     Basis,
     BellOutcome,

@@ -22,11 +22,11 @@ from twoway_qkd.harness import (
     POOL_MIN_CHUNKS,
     RunStats,
     SimConfig,
+    Tally,
     _pool_size,
     _run_chunks,
     run,
 )
-from twoway_qkd.protocols import Tally
 
 
 def pp_config(rounds=8192, seed=42, q=0.3, cm_prob=0.2, p=0.95):

@@ -21,8 +21,16 @@ import oracles
 from support import ScriptedRows, played_chunks, threshold_words
 from twoway_qkd.adversaries import AttackConfig, Strategy
 from twoway_qkd.channel import ChannelConfig, Protocol
-from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig, _chunk_rng, run
-from twoway_qkd.protocols import CHUNK_KERNELS, ROUND_FUNCTIONS, Tally, _below
+from twoway_qkd.harness import (
+    CHUNK_KERNELS,
+    CHUNK_ROUNDS,
+    SimConfig,
+    Tally,
+    _below,
+    _chunk_rng,
+    run,
+)
+from twoway_qkd.protocols import ROUND_FUNCTIONS
 
 KERNEL_ROUNDS = 100_000
 REFERENCE_ROUNDS = 20_000

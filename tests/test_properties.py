@@ -16,8 +16,7 @@ from support import ScriptedRows, played_chunks  # noqa: E402
 from twoway_qkd.adversaries import AttackConfig  # noqa: E402
 from twoway_qkd.analysis import disturbance_grid  # noqa: E402
 from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol  # noqa: E402
-from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig  # noqa: E402
-from twoway_qkd.protocols import Tally, _below  # noqa: E402
+from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig, Tally, _below  # noqa: E402
 
 # Few examples per property keeps the whole suite well inside its time budget.
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
