@@ -50,10 +50,11 @@ that is never read, such as Eve's certain reads under the copy attacks,
 is still spent, so that every row keeps its place in the stream whatever
 the attack.  The skeleton spends, in order:
 
-1. Eve's presence row, ``u < q``, only under an attack, so that q = 0
-   with any strategy, and no strategy at any q, play the attack-free
-   stream.
-2. (two-way only) the control-mode row, ``u < cm_prob``.
+1. Eve's presence row, ``u < q``.  It spends no word at q = 0, and
+   :func:`_run_chunk` passes q = 0 without an attack, so that q = 0 with
+   any strategy, and no strategy at any q, play the attack-free stream.
+2. The control-mode row, ``u < cm_prob``.  It too spends no word at 0,
+   and :class:`SimConfig` fixes ``cm_prob`` at 0 for ``bb84``.
 3. Photon survival, ``u < T`` against the compounded transmittance, then
    the dark-count row, which counts on lost rounds only.
 
@@ -87,9 +88,6 @@ CHUNK_ROUNDS = 16384
 
 # Chunks per pool process: on 2 CPUs --workers 2 lost at 2048 chunks, won at 4096.
 POOL_MIN_CHUNKS = 2048
-
-_NONE = Strategy.NONE
-
 
 @dataclass(slots=True)
 class Tally:
@@ -180,22 +178,12 @@ class Tally:
         return self.i_ab_emp - self.i_ae_emp
 
     def as_dict(self) -> dict[str, object]:
-        """Counters first, derived values after, in a fixed order."""
+        """Counters first, then the derived properties, each in definition order."""
         return {name: getattr(self, name) for name in _COUNTERS + _DERIVED}
 
 
 _COUNTERS = tuple(f.name for f in fields(Tally))
-_DERIVED = (
-    "yield_fraction",
-    "d_mm",
-    "d_cm",
-    "d_cm_intercepted",
-    "eve_known_fraction",
-    "l_final",
-    "i_ab_emp",
-    "i_ae_emp",
-    "r_emp",
-)
+_DERIVED = tuple(name for name, v in vars(Tally).items() if isinstance(v, property))
 
 
 # -- chunk kernels -----------------------------------------------------------
@@ -272,25 +260,26 @@ def _book(tally, n, eve, cm, live, dark, error, eve_correct, keep) -> None:
     tally.eve_mm_correct += (rows & eve_correct).bit_count()
 
 
-def _chunk_kernel(body, two_way: bool):
+def _chunk_kernel(body):
     """The shared chunk skeleton around one protocol body.
 
-    The body is called as ``body(rng, n, cm, dark, eve)`` with lane masks,
-    ``eve`` already cleared on dark firings, and returns the masks
-    ``(error, eve_correct, keep)`` that :func:`_book` counts.
+    The skeleton draws the threshold rows at the probabilities it is given,
+    Eve's presence ``q`` included: the caller passes 0 for a row that must
+    not be drawn.  The body is called as ``body(rng, n, cm, dark, eve)``
+    with lane masks, ``eve`` already cleared on dark firings, and returns
+    the masks ``(error, eve_correct, keep)`` that :func:`_book` counts.
     """
 
     def kernel(
         rng: random.Random,
         n: int,
-        strategy: Strategy,
         q: float,
         cm_prob: float,
         transmittance: float,
         dark_prob: float,
     ) -> Tally:
-        eve = _below(rng, n, q) if strategy is not _NONE else 0
-        cm = _below(rng, n, cm_prob) if two_way else 0
+        eve = _below(rng, n, q)
+        cm = _below(rng, n, cm_prob)
         live = _below(rng, n, transmittance)
         dark = _below(rng, n, dark_prob) & ~live
         tally = Tally()
@@ -346,9 +335,9 @@ def _lm05_chunk(rng, n, cm, dark, eve):
 
 
 CHUNK_KERNELS = {
-    Protocol.BB84: _chunk_kernel(_bb84_chunk, two_way=False),
-    Protocol.PP: _chunk_kernel(_pp_chunk, two_way=True),
-    Protocol.LM05: _chunk_kernel(_lm05_chunk, two_way=True),
+    Protocol.BB84: _chunk_kernel(_bb84_chunk),
+    Protocol.PP: _chunk_kernel(_pp_chunk),
+    Protocol.LM05: _chunk_kernel(_lm05_chunk),
 }
 
 
@@ -410,11 +399,11 @@ def _chunk_rng(seed: int, index: int) -> random.Random:
 
 
 def _run_chunk(config: SimConfig, index: int, n_rounds: int) -> Tally:
+    attack = config.attack
     return CHUNK_KERNELS[config.protocol](
         _chunk_rng(config.seed, index),
         n_rounds,
-        config.attack.strategy,
-        config.attack.q,
+        attack.q if attack.strategy is not Strategy.NONE else 0.0,
         config.cm_prob,
         config.channel.transmittance(config.protocol),
         config.channel.dark_count_prob,

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import oracles
+from twoway_qkd.channel import Protocol, Strategy
+
+HALF = Fraction(1, 2)
+
 
 class ScriptedRandom:
     """Stands in for random.Random with predetermined draws.
@@ -116,3 +121,45 @@ def played_chunks(config, play=None):
         patch.setattr(harness, "_run_chunk", spy)
         stats = harness.run(config)
     return played, stats
+
+
+# Error rate of an attacker-present, non-dark control round.
+CM_INTERCEPTED = {
+    Strategy.NGUYEN: oracles.pp_cm_intercepted(),
+    Strategy.LUCAMARINI: oracles.lm05_cm_intercepted(),
+}
+# A dark control round: pp compares a random bit with Alice's; lm05 errs
+# when the random basis matches (1/2) and the random outcome differs (1/2).
+DARK_CM_ERROR = {Protocol.PP: HALF, Protocol.LM05: Fraction(1, 4)}
+
+
+def closed_forms(protocol, strategy, q, cm_prob, t, dark_prob):
+    """Each counter's exact expectation per round, from the oracles and the
+    channel model."""
+    q = Fraction(q) if strategy is not Strategy.NONE else Fraction(0)
+    cm, t, dark = Fraction(cm_prob), Fraction(t), Fraction(dark_prob)
+    lost_dark = (1 - t) * dark
+    detected = t + lost_dark
+    if strategy is Strategy.INTERCEPT_RESEND:
+        mm_error, eve_correct = oracles.bb84_intercept_resend()
+    else:
+        mm_error, eve_correct = Fraction(0), Fraction(1)
+    keyed = (1 - cm) * (HALF if protocol is Protocol.BB84 else 1)
+    eve_mm = keyed * t * q
+    eve_cm = cm * t * q
+    eve_cm_errors = eve_cm * CM_INTERCEPTED.get(strategy, 0)
+    return {
+        "rounds": Fraction(1),
+        "lost": (1 - t) * (1 - dark),
+        "dark": lost_dark,
+        "mm_rounds": (1 - cm) * detected,
+        "cm_rounds": cm * detected,
+        "raw_key": keyed * detected,
+        "mm_errors": keyed * (t * q * mm_error + lost_dark * HALF),
+        "cm_errors": eve_cm_errors + cm * lost_dark * DARK_CM_ERROR.get(protocol, 0),
+        "eve_rounds": q,
+        "eve_mm_rounds": eve_mm,
+        "eve_mm_correct": eve_mm * eve_correct,
+        "eve_cm_rounds": eve_cm,
+        "eve_cm_errors": eve_cm_errors,
+    }

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from twoway_qkd import __version__
-from twoway_qkd.cli import main
+from twoway_qkd.cli import build_parser, main
 from twoway_qkd.harness import CHUNK_ROUNDS, POOL_MIN_CHUNKS
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -229,6 +230,15 @@ class TestUsageErrors:
             main(["--version"])
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_workers_help_states_the_pool_policy(self):
+        # cli keeps the engine unloaded, so the help restates the constant.
+        actions = build_parser()._actions
+        (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        simulate = sub.choices["simulate"]
+        (workers,) = [a for a in simulate._actions if "--workers" in a.option_strings]
+        assert f"per {POOL_MIN_CHUNKS} chunks" in workers.help
+        assert f"fewer than {2 * POOL_MIN_CHUNKS} chunks" in workers.help
 
 
 class TestAnalyze:

@@ -24,7 +24,7 @@ from itertools import product
 import pytest
 
 import oracles
-from support import ScriptedRows
+from support import ScriptedRows, closed_forms
 from twoway_qkd.channel import Protocol, Strategy
 from twoway_qkd.harness import CHUNK_KERNELS, Tally
 from twoway_qkd.quantum import (
@@ -42,7 +42,6 @@ from twoway_qkd.quantum import (
 
 TOP = 1.0 - 2.0**-53  # the largest uniform a generator returns
 YES, NO = 0.0, TOP
-HALF = Fraction(1, 2)
 COUNTERS = [f.name for f in fields(Tally)]
 
 # Fair and Born rows each body spends, in the documented draw order, and
@@ -59,24 +58,16 @@ PAIRINGS = [
 ]
 PAIRING_IDS = [f"{p.value}-{s.value}" for p, s in PAIRINGS]
 
-CM_INTERCEPTED = {
-    Strategy.NGUYEN: oracles.pp_cm_intercepted(),
-    Strategy.LUCAMARINI: oracles.lm05_cm_intercepted(),
-}
-# A dark control round: pp compares a random bit with Alice's; lm05 errs
-# when the random basis matches (1/2) and the random outcome differs (1/2).
-DARK_CM_ERROR = {Protocol.PP: HALF, Protocol.LM05: Fraction(1, 4)}
-
 
 def enumerated(k):
     """k rows whose 2**k lanes hold every combination of 0.25 and 0.75."""
     return [[0.75 if lane >> row & 1 else 0.25 for lane in range(2**k)] for row in range(k)]
 
 
-def play(protocol, strategy, rows, q, cm_prob, t, dark_prob):
-    """One kernel call on exactly the scripted rows."""
+def play(protocol, rows, q, cm_prob, t, dark_prob):
+    """One kernel call on exactly the scripted rows, Eve present at rate q."""
     rng = ScriptedRows(rows)
-    tally = CHUNK_KERNELS[protocol](rng, len(rows[-1]), strategy, q, cm_prob, t, dark_prob)
+    tally = CHUNK_KERNELS[protocol](rng, len(rows[-1]), q, cm_prob, t, dark_prob)
     rng.assert_spent()
     return tally
 
@@ -85,12 +76,10 @@ def expected_counters(protocol, strategy, q, cm_prob, t, dark_prob):
     """Each counter's expectation per round, from the weighted lane tallies."""
     body = enumerated(BODY_ROWS[protocol])
     n = len(body[0])
-    # Eve's presence row is drawn only under an attack.
-    thresholds = [q, t] if strategy is not Strategy.NONE else [t]
-    if protocol is not Protocol.BB84:
-        thresholds.insert(-1, cm_prob)
-    if dark_prob > 0.0:
-        thresholds.append(dark_prob)
+    # No attack means no presence.  A row at probability 0 or 1 spends no
+    # word, and its other setting weighs 0 and is skipped.
+    q = q if strategy is not Strategy.NONE else 0.0
+    thresholds = [q, cm_prob, t, dark_prob]
     total = dict.fromkeys(COUNTERS, Fraction(0))
     for setting in product((True, False), repeat=len(thresholds)):
         weight = Fraction(1)
@@ -99,41 +88,10 @@ def expected_counters(protocol, strategy, q, cm_prob, t, dark_prob):
         if not weight:
             continue
         rows = [(p, [YES if yes else NO] * n) for yes, p in zip(setting, thresholds)] + body
-        tally = play(protocol, strategy, rows, q, cm_prob, t, dark_prob)
+        tally = play(protocol, rows, q, cm_prob, t, dark_prob)
         for name in COUNTERS:
             total[name] += weight * Fraction(getattr(tally, name), n)
     return total
-
-
-def closed_forms(protocol, strategy, q, cm_prob, t, dark_prob):
-    """The same expectations, from the oracles and the channel model."""
-    q = Fraction(q) if strategy is not Strategy.NONE else Fraction(0)
-    cm, t, dark = Fraction(cm_prob), Fraction(t), Fraction(dark_prob)
-    lost_dark = (1 - t) * dark
-    detected = t + lost_dark
-    if strategy is Strategy.INTERCEPT_RESEND:
-        mm_error, eve_correct = oracles.bb84_intercept_resend()
-    else:
-        mm_error, eve_correct = Fraction(0), Fraction(1)
-    keyed = (1 - cm) * (HALF if protocol is Protocol.BB84 else 1)
-    eve_mm = keyed * t * q
-    eve_cm = cm * t * q
-    eve_cm_errors = eve_cm * CM_INTERCEPTED.get(strategy, 0)
-    return {
-        "rounds": Fraction(1),
-        "lost": (1 - t) * (1 - dark),
-        "dark": lost_dark,
-        "mm_rounds": (1 - cm) * detected,
-        "cm_rounds": cm * detected,
-        "raw_key": keyed * detected,
-        "mm_errors": keyed * (t * q * mm_error + lost_dark * HALF),
-        "cm_errors": eve_cm_errors + cm * lost_dark * DARK_CM_ERROR.get(protocol, 0),
-        "eve_rounds": q,
-        "eve_mm_rounds": eve_mm,
-        "eve_mm_correct": eve_mm * eve_correct,
-        "eve_cm_rounds": eve_cm,
-        "eve_cm_errors": eve_cm_errors,
-    }
 
 
 @pytest.mark.parametrize("t, dark_prob", [(1.0, 0.0), (0.7, 0.05)], ids=["lossless", "lossy-dark"])
@@ -171,11 +129,11 @@ def test_acceptance_closed_forms_hold_exactly(protocol, strategy):
 def test_a_scripted_kernel_must_spend_every_row():
     # q = T = 1 draw no words; "yes" on cm_prob 0.3 = 0b0.01001... takes two.
     rows = [(1.0, [YES] * 8), (0.3, [YES] * 8), (1.0, [YES] * 8)] + enumerated(3)
-    play(Protocol.PP, Strategy.NGUYEN, rows, 1.0, 0.3, 1.0, 0.0)
+    play(Protocol.PP, rows, 1.0, 0.3, 1.0, 0.0)
     with pytest.raises(AssertionError, match="drew 5 of 6"):
-        play(Protocol.PP, Strategy.NGUYEN, rows + [[YES] * 8], 1.0, 0.3, 1.0, 0.0)
+        play(Protocol.PP, rows + [[YES] * 8], 1.0, 0.3, 1.0, 0.0)
     with pytest.raises(AssertionError, match="more words than scripted"):
-        play(Protocol.PP, Strategy.NGUYEN, rows[:-1], 1.0, 0.3, 1.0, 0.0)
+        play(Protocol.PP, rows[:-1], 1.0, 0.3, 1.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -189,17 +147,16 @@ def test_a_scripted_kernel_must_spend_every_row():
 )
 def test_certain_outcomes_hold_at_the_top_of_the_range(protocol, strategy):
     # Fair rows enumerate every combination; every Born row reads the top
-    # uniform, where a certain outcome must still come out.  Eve is present,
-    # the round is in message mode and the photon survives.
+    # uniform, where a certain outcome must still come out.  Eve is present
+    # under an attack, the round is in message mode and the photon survives.
     body = enumerated(BODY_ROWS[protocol])
     for row in BORN_ROWS[protocol]:
         body[row] = [TOP] * len(body[row])
     n = len(body[0])
-    thresholds = [(1.0, YES), (0.25, NO), (1.0, YES)]
-    if protocol is Protocol.BB84:
-        del thresholds[1]
-    rows = [(p, [u] * n) for p, u in thresholds] + body
-    tally = play(protocol, strategy, rows, 1.0, 0.25, 1.0, 0.0)
+    q = 0.0 if strategy is Strategy.NONE else 1.0
+    cm_prob = 0.0 if protocol is Protocol.BB84 else 0.25
+    rows = [(q, [YES] * n), (cm_prob, [NO] * n), (1.0, [YES] * n)] + body
+    tally = play(protocol, rows, q, cm_prob, 1.0, 0.0)
     assert tally.mm_rounds == n
     # bb84 keeps the matched lanes, Z and X alike; the others keep every lane.
     assert tally.raw_key == (n // 2 if protocol is Protocol.BB84 else n)

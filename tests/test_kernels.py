@@ -1,9 +1,13 @@
 """The bit-sliced chunk kernels against the round-by-round reference model.
 
-Both engines play the same configurations and must land inside 3-sigma
-binomial bands around the oracle values and the closed forms; the exact
-claims (zero message-mode error under the copy attacks, the counter
-identities) are checked exactly.
+Both engines play the same configurations.  Each row of :data:`BANDS`
+pairs a counter with the count it is a share of, and the observed share
+must lie inside the 3-sigma binomial band around the ratio of their exact
+expectations from :func:`support.closed_forms`.  A ratio of 0 or 1 is a
+zero-width band, so it holds exactly, and a pair whose denominator is
+expected to be 0 must count 0 in both.  The other exact claims (zero
+message-mode error under the copy attacks, the counter identities) are
+checked exactly too.
 """
 
 import json
@@ -17,33 +21,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import oracles
-from support import ScriptedRows, played_chunks, threshold_words
+from support import ScriptedRows, closed_forms, played_chunks, threshold_words
 from twoway_qkd.adversaries import AttackConfig, Strategy
 from twoway_qkd.channel import ChannelConfig, Protocol
 from twoway_qkd.harness import (
-    CHUNK_KERNELS,
     CHUNK_ROUNDS,
     SimConfig,
     Tally,
     _below,
     _chunk_rng,
+    _run_chunk,
     run,
 )
 from twoway_qkd.protocols import ROUND_FUNCTIONS
 
 KERNEL_ROUNDS = 100_000
 REFERENCE_ROUNDS = 20_000
-
-# Error rate of an attacker-present, non-dark control round.
-CM_INTERCEPTED = {
-    Strategy.NGUYEN: oracles.pp_cm_intercepted(),
-    Strategy.LUCAMARINI: oracles.lm05_cm_intercepted(),
-}
-# Control-round error rate of a dark firing: pp compares two random bits;
-# lm05 errs when the random control basis matches the preparation (1/2)
-# and the random outcome differs from the prepared bit (1/2).
-DARK_CM_ERROR = {Protocol.PP: 0.5, Protocol.LM05: 0.25}
 
 # (protocol, strategy, q, cm_prob, p_segment, dark_count_prob)
 CASES = [
@@ -100,43 +93,38 @@ def within(observed, n, p):
     assert abs(observed - n * p) <= slack, f"{observed}/{n} vs {p}"
 
 
+# (counter, denominator) pairs; "detected" is rounds - lost.
+BANDS = [
+    ("detected", "rounds"),
+    ("eve_rounds", "rounds"),
+    ("cm_rounds", "detected"),
+    ("raw_key", "mm_rounds"),
+    ("mm_errors", "raw_key"),
+    ("eve_mm_rounds", "raw_key"),
+    ("eve_mm_correct", "eve_mm_rounds"),
+    ("cm_errors", "cm_rounds"),
+    ("eve_cm_errors", "eve_cm_rounds"),
+]
+
+
 def check_against_closed_forms(config, tally):
-    t = config.channel.transmittance(config.protocol)
-    dark_p = config.channel.dark_count_prob
-    strategy, q = config.attack.strategy, config.attack.q
-    q_eff = 0.0 if strategy is Strategy.NONE else q
-    detect = t + (1 - t) * dark_p
-    real = t / detect  # share of detected rounds that are not dark firings
-    n = tally.rounds
-
-    within(n - tally.lost, n, detect)
-    within(tally.eve_rounds, n, q_eff)
-    within(tally.cm_rounds, n - tally.lost, config.cm_prob)
-
-    sift = 0.5 if config.protocol is Protocol.BB84 else 1.0
-    within(tally.raw_key, tally.mm_rounds, sift)
-
-    real_mm_error = 0.0
-    if strategy is Strategy.INTERCEPT_RESEND:
-        real_mm_error = q * oracles.bb84_intercept_resend()[0]
-    within(tally.mm_errors, tally.raw_key, real * real_mm_error + (1 - real) * 0.5)
-    # Dark firings carry no attacker knowledge: the share is q on real rounds.
-    within(tally.eve_mm_rounds, tally.raw_key, real * q_eff)
-    if strategy is Strategy.INTERCEPT_RESEND:
-        within(tally.eve_mm_correct, tally.eve_mm_rounds,
-               oracles.bb84_intercept_resend()[1])
-    else:
-        assert tally.eve_mm_correct == tally.eve_mm_rounds
-
-    if config.protocol is Protocol.BB84:
-        assert tally.cm_rounds == 0
-        return
-    cm_intercepted = CM_INTERCEPTED.get(strategy, 0)
-    dark_cm = DARK_CM_ERROR[config.protocol]
-    within(tally.cm_errors, tally.cm_rounds,
-           real * q_eff * float(cm_intercepted) + (1 - real) * dark_cm)
-    if strategy is not Strategy.NONE:
-        within(tally.eve_cm_errors, tally.eve_cm_rounds, cm_intercepted)
+    expected = closed_forms(
+        config.protocol,
+        config.attack.strategy,
+        config.attack.q,
+        config.cm_prob,
+        config.channel.transmittance(config.protocol),
+        config.channel.dark_count_prob,
+    )
+    observed = tally.as_dict()
+    for counts in (expected, observed):
+        counts["detected"] = counts["rounds"] - counts["lost"]
+    for counter, denominator in BANDS:
+        if expected[denominator]:
+            within(observed[counter], observed[denominator],
+                   expected[counter] / expected[denominator])
+        else:
+            assert observed[counter] == observed[denominator] == 0, counter
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -188,10 +176,10 @@ def test_copy_attack_message_mode_is_exactly_error_free(protocol, strategy):
 def test_q_zero_matches_attack_free_stream(protocol):
     native = {p: s for p, s, *_ in CASES if s is not Strategy.NONE}
     cm = 0.0 if protocol is Protocol.BB84 else 0.3
-    args = (cm, 0.8, 0.05)
-    kernel = CHUNK_KERNELS[protocol]
-    attacked = kernel(_chunk_rng(5, 0), 4096, native[protocol], 0.0, *args)
-    clean = kernel(_chunk_rng(5, 0), 4096, Strategy.NONE, 1.0, *args)
+    attacked, clean = (
+        _run_chunk(config_of((protocol, strategy, q, cm, 0.8, 0.05), 4096, seed=5), 0, 4096)
+        for strategy, q in ((native[protocol], 0.0), (Strategy.NONE, 1.0))
+    )
     assert attacked == clean
     assert clean.eve_rounds == 0
 
