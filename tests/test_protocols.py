@@ -173,6 +173,23 @@ class TestDarkCounts:
 
 
 class TestTally:
+    def test_as_dict_covers_all_slots(self):
+        d = Tally().as_dict()
+        counters = len(Tally.__slots__)
+        assert tuple(d)[:counters] == Tally.__slots__
+        assert all(v == 0 for v in list(d.values())[:counters])
+        assert list(d.items())[counters:] == [
+            ("yield_fraction", 0.0),
+            ("d_mm", 0.0),
+            ("d_cm", 0.0),
+            ("d_cm_intercepted", 0.0),
+            ("eve_known_fraction", 0.0),
+            ("l_final", 0),
+            ("i_ab_emp", 1.0),
+            ("i_ae_emp", 0.0),
+            ("r_emp", 1.0),
+        ]
+
     def test_round_functions_registered(self):
         assert ROUND_FUNCTIONS == {
             Protocol.BB84: bb84_round,
