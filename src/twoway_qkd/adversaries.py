@@ -13,9 +13,7 @@ rounds, which the attacker cannot distinguish in time, can reveal her.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .channel import ConfigError, Protocol, Strategy
+from .channel import ConfigError, Protocol, Strategy, _Frozen
 
 
 # Which attacks make sense against which protocol.  The transparent attacks
@@ -28,14 +26,13 @@ _COMPATIBLE = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class AttackConfig:
+class AttackConfig(_Frozen):
     """Eve's strategy and her per-round presence probability."""
 
-    strategy: Strategy = Strategy.NONE
-    q: float = 1.0
+    __slots__ = ("strategy", "q")
 
-    def __post_init__(self) -> None:
+    def __init__(self, strategy: Strategy = Strategy.NONE, q: float = 1.0) -> None:
+        self._set(strategy, q)
         if not 0.0 <= self.q <= 1.0:
             raise ConfigError(f"q must be in [0, 1], got {self.q}")
 

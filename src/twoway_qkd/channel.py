@@ -7,17 +7,52 @@ entangled pair makes the trip), and the harness spends a single uniform draw
 per round against that compounded probability.
 
 The :class:`Protocol` and :class:`Strategy` enumerations live here too, so
-that the command line can name its choices without importing the engine.
+that the command line can name its choices without importing the engine, and
+so do plain ``__slots__`` value bases: :mod:`dataclasses` costs 10 ms to import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
 class ConfigError(ValueError):
     """A configuration value is outside its allowed range."""
+
+
+class _Value:
+    """Fields: ``__slots__``, in ``__init__``'s order; ==, repr and pickle go by them."""
+
+    __slots__ = ()
+
+    def __reduce__(self):  # through __init__, as a frozen class takes no slot state
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Value):
+    """A hashable :class:`_Value` whose fields ``__init__`` sets once, by :meth:`_set`."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
 
 
 class Protocol(Enum):
@@ -48,8 +83,7 @@ class Strategy(Enum):
     LUCAMARINI = "lucamarini"
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelConfig:
+class ChannelConfig(_Frozen):
     """Per-segment channel parameters.
 
     p_segment is the single-pass transmission probability.  Detector
@@ -59,11 +93,11 @@ class ChannelConfig:
     bits are uniformly random.
     """
 
-    p_segment: float = 1.0
-    detector_efficiency: float = 1.0
-    dark_count_prob: float = 0.0
+    __slots__ = ("p_segment", "detector_efficiency", "dark_count_prob")
 
-    def __post_init__(self) -> None:
+    def __init__(self, p_segment: float = 1.0, detector_efficiency: float = 1.0,
+                 dark_count_prob: float = 0.0) -> None:
+        self._set(p_segment, detector_efficiency, dark_count_prob)
         if not 0.0 < self.p_segment <= 1.0:
             raise ConfigError(f"p_segment must be in (0, 1], got {self.p_segment}")
         if not 0.0 < self.detector_efficiency <= 1.0:

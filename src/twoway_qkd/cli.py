@@ -13,7 +13,6 @@ configurations the model rejects, 4 for output I/O failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -136,6 +135,7 @@ def _emit(
 ) -> str:
     """One output document: ``body`` goes under ``key`` (``stats`` or ``rows``)."""
     if fmt == "json":
+        import json  # only here: CSV output and --version never load it
         payload = {"config": config, **extra, key: body, "version": __version__}
         return json.dumps(payload, indent=2) + "\n"
     meta = {**config, **extra, "version": __version__}

@@ -75,12 +75,11 @@ from __future__ import annotations
 import numbers
 import os
 import random
-from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 from .adversaries import AttackConfig, validate_attack
 from .analysis import binary_entropy
-from .channel import ChannelConfig, ConfigError, Protocol, Strategy
+from .channel import ChannelConfig, ConfigError, Protocol, Strategy, _Frozen, _Value
 
 # Rounds per chunk, one bit each in the kernel's ints.  Larger chunks spread
 # each chunk's seeding and threshold walks over more rounds.
@@ -89,8 +88,7 @@ CHUNK_ROUNDS = 16384
 # Chunks per pool process: on 2 CPUs --workers 2 lost at 2048 chunks, won at 4096.
 POOL_MIN_CHUNKS = 2048
 
-@dataclass(slots=True)
-class Tally:
+class Tally(_Value):
     """Integer round counters of a chunk or a whole run, and the statistics
     derived from them.
 
@@ -111,19 +109,18 @@ class Tally:
     raw key after discarding every bit the attacker holds.
     """
 
-    rounds: int = 0
-    lost: int = 0
-    dark: int = 0
-    mm_rounds: int = 0
-    cm_rounds: int = 0
-    raw_key: int = 0
-    mm_errors: int = 0
-    cm_errors: int = 0
-    eve_rounds: int = 0
-    eve_mm_rounds: int = 0
-    eve_mm_correct: int = 0
-    eve_cm_rounds: int = 0
-    eve_cm_errors: int = 0
+    __slots__ = ("rounds", "lost", "dark", "mm_rounds", "cm_rounds", "raw_key",
+                 "mm_errors", "cm_errors", "eve_rounds", "eve_mm_rounds",
+                 "eve_mm_correct", "eve_cm_rounds", "eve_cm_errors")
+
+    def __init__(self, rounds=0, lost=0, dark=0, mm_rounds=0, cm_rounds=0, raw_key=0,
+                 mm_errors=0, cm_errors=0, eve_rounds=0, eve_mm_rounds=0,
+                 eve_mm_correct=0, eve_cm_rounds=0, eve_cm_errors=0) -> None:
+        self.rounds, self.lost, self.dark = rounds, lost, dark
+        self.mm_rounds, self.cm_rounds, self.raw_key = mm_rounds, cm_rounds, raw_key
+        self.mm_errors, self.cm_errors, self.eve_rounds = mm_errors, cm_errors, eve_rounds
+        self.eve_mm_rounds, self.eve_mm_correct = eve_mm_rounds, eve_mm_correct
+        self.eve_cm_rounds, self.eve_cm_errors = eve_cm_rounds, eve_cm_errors
 
     def merge(self, other: "Tally") -> None:
         for name in _COUNTERS:
@@ -182,7 +179,7 @@ class Tally:
         return {name: getattr(self, name) for name in _COUNTERS + _DERIVED}
 
 
-_COUNTERS = tuple(f.name for f in fields(Tally))
+_COUNTERS = Tally.__slots__
 _DERIVED = tuple(name for name, v in vars(Tally).items() if isinstance(v, property))
 
 
@@ -344,18 +341,15 @@ CHUNK_KERNELS = {
 # -- runs --------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SimConfig:
+class SimConfig(_Frozen):
     """Everything that determines a run's outcome."""
 
-    protocol: Protocol
-    rounds: int
-    seed: int = 0
-    attack: AttackConfig = field(default_factory=AttackConfig)
-    cm_prob: float = 0.0
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
+    __slots__ = ("protocol", "rounds", "seed", "attack", "cm_prob", "channel")
 
-    def __post_init__(self) -> None:
+    def __init__(self, protocol: Protocol, rounds: int, seed: int = 0,
+                 attack: AttackConfig = AttackConfig(), cm_prob: float = 0.0,
+                 channel: ChannelConfig = ChannelConfig()) -> None:
+        self._set(protocol, rounds, seed, attack, cm_prob, channel)
         for name in ("rounds", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):

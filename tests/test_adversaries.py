@@ -34,6 +34,23 @@ class TestAttackConfig:
         with pytest.raises(ConfigError):
             AttackConfig(strategy=Strategy.NGUYEN, q=q)
 
+    @pytest.mark.parametrize("field", ["strategy", "q"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        config = AttackConfig(strategy=Strategy.NGUYEN, q=0.5)
+        with pytest.raises(AttributeError):
+            setattr(config, field, 0.25)
+        with pytest.raises(AttributeError):
+            delattr(config, field)
+        assert config == AttackConfig(Strategy.NGUYEN, 0.5)
+
+    def test_equal_values_compare_and_hash_equal(self):
+        a = AttackConfig(Strategy.LUCAMARINI, 0.25)
+        b = AttackConfig(strategy=Strategy.LUCAMARINI, q=0.25)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, AttackConfig()}) == 2
+        assert a != AttackConfig(Strategy.LUCAMARINI, 0.5)
+        assert a != AttackConfig(Strategy.NGUYEN, 0.25)
+
 
 class TestCompatibility:
     @pytest.mark.parametrize("protocol", list(Protocol))

@@ -49,3 +49,25 @@ class TestChannelConfig:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigError):
             ChannelConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["p_segment", "detector_efficiency", "dark_count_prob"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        config = ChannelConfig(p_segment=0.9)
+        with pytest.raises(AttributeError):
+            setattr(config, field, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(config, field)
+        assert config == ChannelConfig(p_segment=0.9)
+
+    def test_equal_values_compare_and_hash_equal(self):
+        a = ChannelConfig(0.9, 0.8, 1e-3)
+        b = ChannelConfig(p_segment=0.9, detector_efficiency=0.8, dark_count_prob=1e-3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ChannelConfig()}) == 2
+        assert a != ChannelConfig(0.9, 0.8, 2e-3)
+        assert a != (0.9, 0.8, 1e-3)
+
+    def test_repr_lists_the_fields(self):
+        assert repr(ChannelConfig(p_segment=0.5)) == (
+            "ChannelConfig(p_segment=0.5, detector_efficiency=1.0, dark_count_prob=0.0)"
+        )

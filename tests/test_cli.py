@@ -368,6 +368,8 @@ class TestEntrypoints:
 ENGINE = ("twoway_qkd.adversaries", "twoway_qkd.harness")
 # The reference model, loaded by no subcommand.
 REFERENCE = ("twoway_qkd.protocols", "twoway_qkd.quantum")
+# What importing dataclasses brings in: about 10 ms of every process's start.
+DATACLASSES = ("ast", "dataclasses", "dis", "inspect", "tokenize")
 
 
 def run_fresh(script: str) -> subprocess.CompletedProcess:
@@ -399,6 +401,31 @@ class TestImportFloor:
         """)
         assert result.returncode == 0, result.stderr
         assert result.stderr.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            (["--version"], (*DATACLASSES, "json")),
+            (["table"], (*DATACLASSES, "json")),
+            (["analyze", "--d-grid", "0:0.5:0.1"], (*DATACLASSES, "json")),
+            (["simulate", "--protocol", "pp", "--attack", "nguyen", "--cm-prob", "0.25",
+              "--rounds", str(2 * CHUNK_ROUNDS), "--format", "json"], DATACLASSES),
+        ],
+        ids=["version", "table-csv", "analyze-csv", "simulate-json"],
+    )
+    def test_no_dataclasses_and_json_only_for_json(self, argv, unloaded):
+        result = run_fresh(f"""
+            import sys
+            from twoway_qkd.cli import main
+            try:
+                code = main({argv!r})
+            except SystemExit as exc:  # --version exits through argparse
+                code = exc.code
+            print(code, sorted(set({unloaded!r}) & set(sys.modules)), file=sys.stderr)
+        """)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.strip() == "0 []"
+        assert result.stdout
 
     def test_attack_config_loads_no_quantum_or_numpy(self):
         result = run_fresh("""

@@ -17,7 +17,6 @@ kernels encode.
 """
 
 import math
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -26,7 +25,7 @@ import pytest
 import oracles
 from support import ScriptedRows, closed_forms
 from twoway_qkd.channel import Protocol, Strategy
-from twoway_qkd.harness import CHUNK_KERNELS, Tally
+from twoway_qkd.harness import CHUNK_KERNELS, _COUNTERS
 from twoway_qkd.quantum import (
     Basis,
     BellOutcome,
@@ -42,7 +41,7 @@ from twoway_qkd.quantum import (
 
 TOP = 1.0 - 2.0**-53  # the largest uniform a generator returns
 YES, NO = 0.0, TOP
-COUNTERS = [f.name for f in fields(Tally)]
+COUNTERS = list(_COUNTERS)
 
 # Fair and Born rows each body spends, in the documented draw order, and
 # the indices of those that hold a measurement.

@@ -2,6 +2,7 @@ import concurrent.futures
 import functools
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -77,6 +78,42 @@ class TestSimConfig:
                 rounds=100,
                 attack=AttackConfig(strategy=Strategy.INTERCEPT_RESEND),
             )
+
+    @pytest.mark.parametrize(
+        "field", ["protocol", "rounds", "seed", "attack", "cm_prob", "channel"]
+    )
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        config = pp_config()
+        with pytest.raises(AttributeError):
+            setattr(config, field, getattr(config, field))
+        with pytest.raises(AttributeError):
+            delattr(config, field)
+        assert config == pp_config()
+
+    def test_equal_values_compare_and_hash_equal(self):
+        a, b = pp_config(), pp_config()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, pp_config(seed=43)}) == 2
+        assert a != pp_config(q=0.4)
+        assert a != pp_config(p=0.9)
+        assert SimConfig(Protocol.PP, 100) == SimConfig(protocol=Protocol.PP, rounds=100)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_survives_pickle(self, protocol):
+        # What a pooled run sends each worker: both nested configs non-default.
+        config = SimConfig(
+            protocol=Protocol.LM05,
+            rounds=3 * CHUNK_ROUNDS,
+            seed=11,
+            attack=AttackConfig(strategy=Strategy.LUCAMARINI, q=0.4),
+            cm_prob=0.25,
+            channel=ChannelConfig(p_segment=0.9, detector_efficiency=0.8, dark_count_prob=1e-3),
+        )
+        copy = pickle.loads(pickle.dumps(config, protocol))
+        assert copy == config and hash(copy) == hash(config)
+        assert repr(copy) == repr(config)
+        assert type(copy.attack) is AttackConfig and type(copy.channel) is ChannelConfig
+        assert copy.as_dict() == config.as_dict()
 
     def test_as_dict_is_flat_and_complete(self):
         config = pp_config()
@@ -154,6 +191,26 @@ class TestRunStatsDerived:
             "i_ae_emp",
             "r_emp",
         ]
+
+    def test_builds_empty_by_position_and_by_keyword(self):
+        values = list(range(1, len(Tally.__slots__) + 1))
+        assert list(Tally().as_dict().values())[: len(values)] == [0] * len(values)
+        assert [getattr(Tally(*values), name) for name in Tally.__slots__] == values
+        assert Tally(rounds=5) == Tally(5) != Tally()
+        assert Tally(**dict(zip(Tally.__slots__, values))) == Tally(*values)
+        with pytest.raises(TypeError):
+            Tally(rounds=1, bogus=2)
+        with pytest.raises(TypeError):
+            Tally(*values, 0)
+
+    def test_is_a_mutable_unhashable_value(self):
+        tally = Tally(rounds=3)
+        tally.rounds += 1
+        assert tally == Tally(rounds=4)
+        assert tally != Tally(rounds=3)
+        with pytest.raises(TypeError):
+            hash(tally)
+        assert pickle.loads(pickle.dumps(tally)) == tally
 
     def test_merge_adds_counters(self):
         a = run(pp_config(rounds=1000, seed=5))

@@ -1,6 +1,10 @@
 """Property tests: counter algebra, the chunk plan, threshold rows, config
-validation over non-finite and boundary floats, and grid endpoint snapping."""
+validation over non-finite and boundary floats, grid endpoint snapping, and
+``simulate``'s exit codes over edge-case and random command lines."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -9,13 +13,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from support import ScriptedRows, played_chunks  # noqa: E402
 
+from twoway_qkd import cli  # noqa: E402
 from twoway_qkd.adversaries import AttackConfig  # noqa: E402
 from twoway_qkd.analysis import disturbance_grid  # noqa: E402
-from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol  # noqa: E402
+from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol, Strategy  # noqa: E402
 from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig, Tally, _below  # noqa: E402
 
 # Few examples per property keeps the whole suite well inside its time budget.
@@ -225,3 +230,84 @@ class TestGridSnapping:
         args.insert(position, bad)
         with pytest.raises(ValueError):
             disturbance_grid(*args)
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Each value is good three times in four, so that a fair share of command
+# lines runs, and bad otherwise: an edge case or any float for the float
+# options, an out-of-range or malformed count, or random text.  Every option
+# is passed as --name=value, so that a leading minus sign reaches the
+# converter instead of reading as a flag.
+probabilities = st.floats(min_value=0.0, max_value=1.0).map(repr)
+bad_floats = st.one_of(
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-0.0", "-0",
+                     "5e-324", "-5e-324", "2.225073858507201e-308", "1e-320",
+                     "1.0000000000000002", "0.9999999999999999", "1e400", "-1e-300"]),
+    st.sampled_from(_EDGES).map(repr),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+# --rounds never plays more than two chunks; text that int() would accept,
+# Unicode digits included, is left out so that it cannot ask for more.
+good_rounds = st.integers(min_value=1, max_value=2 * CHUNK_ROUNDS).map(str)
+bad_rounds = st.one_of(
+    st.integers(min_value=-2, max_value=0).map(str),
+    st.sampled_from(["1.5", "1e3", "0x10", "", " ", "+", "-0", "nan"]),
+    st.text(max_size=12).filter(lambda text: not _is_int(text)),
+)
+good_seeds = st.integers(min_value=0, max_value=2**70).map(str)
+bad_seeds = st.one_of(
+    st.integers(min_value=-5, max_value=-1).map(str),
+    st.sampled_from(["1.0", "1e3", "nan", ""]),
+    st.text(max_size=12),
+)
+FLOAT_OPTIONS = ("q", "p-segment", "cm-prob", "detector-efficiency", "dark-count-prob")
+NATIVE = {"bb84": "intercept-resend", "pp": "nguyen", "lm05": "lucamarini"}
+
+
+@st.composite
+def simulate_argv(draw):
+    def value(good, bad):
+        return draw(bad) if draw(st.integers(min_value=0, max_value=3)) == 0 else draw(good)
+
+    protocol = draw(st.sampled_from(sorted(NATIVE)))
+    attack = value(st.sampled_from(["none", NATIVE[protocol]]),
+                   st.sampled_from([s.value for s in Strategy]))
+    argv = ["simulate", "--protocol", protocol, "--attack", attack,
+            f"--rounds={value(good_rounds, bad_rounds)}"]
+    if draw(st.booleans()):
+        argv.append(f"--seed={value(good_seeds, bad_seeds)}")
+    for name in FLOAT_OPTIONS:
+        if draw(st.booleans()):
+            argv.append(f"--{name}={value(probabilities, bad_floats)}")
+    return argv
+
+
+class TestSimulateCommandLine:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(simulate_argv())
+    def test_any_argv_ends_in_a_documented_exit(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # usage errors exit through argparse
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        event(f"exit {code}")
+        assert code in (0, 2, 3), (code, err)
+        assert "Traceback" not in out + err
+        if code:
+            assert out == ""
+            assert err
+        else:
+            payload = json.loads(out)
+            assert set(payload) == {"config", "stats", "version"}
+            assert payload["stats"]["rounds"] == payload["config"]["rounds"]
