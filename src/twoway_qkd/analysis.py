@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .channel import ChannelConfig, Protocol
+from .channel import ChannelConfig, ConfigError, Protocol
 
 MAX_GRID_POINTS = 1_000_000
 
@@ -21,7 +21,7 @@ MAX_GRID_POINTS = 1_000_000
 def binary_entropy(x: float) -> float:
     """Shannon entropy h(x) of a Bernoulli(x) variable, in bits."""
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary_entropy argument must be in [0, 1], got {x}")
+        raise ConfigError(f"binary_entropy argument must be in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -30,7 +30,7 @@ def binary_entropy(x: float) -> float:
 def bb84_mutual_information(d: float) -> tuple[float, float]:
     """(I_AB, I_AE) per sifted bit at disturbance d, for d in [0, 1/2]."""
     if not 0.0 <= d <= 0.5:
-        raise ValueError(f"disturbance must be in [0, 0.5], got {d}")
+        raise ConfigError(f"disturbance must be in [0, 0.5], got {d}")
     h = binary_entropy(d)
     return 1.0 - h, h
 
@@ -45,7 +45,7 @@ def twoway_mutual_information(q: float) -> tuple[float, float]:
     """(I_AB, I_AE) for a deterministic scheme under a transparent attack
     mounted on a fraction q of the rounds."""
     if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
+        raise ConfigError(f"q must be in [0, 1], got {q}")
     return 1.0, q
 
 
@@ -63,9 +63,6 @@ def critical_disturbance() -> float:
     root-finding dependency is worth pulling in for one monotone equation.
     """
     lo, hi = 1e-15, 0.5
-    f_lo = bb84_secret_fraction(lo)
-    if f_lo <= 0.0:
-        raise RuntimeError("secret fraction not positive at the lower bracket")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if bb84_secret_fraction(mid) > 0.0:
@@ -88,14 +85,14 @@ def disturbance_grid(start: float, end: float, step: float) -> list[float]:
     ``MAX_GRID_POINTS`` points are rejected.
     """
     if not all(math.isfinite(v) for v in (start, end, step)):
-        raise ValueError(f"grid values must be finite, got {start}:{end}:{step}")
+        raise ConfigError(f"grid values must be finite, got {start}:{end}:{step}")
     if step <= 0.0:
-        raise ValueError(f"grid step must be positive, got {step}")
+        raise ConfigError(f"grid step must be positive, got {step}")
     if end < start:
-        raise ValueError(f"grid end {end} precedes start {start}")
+        raise ConfigError(f"grid end {end} precedes start {start}")
     span = (end - start) / step
     if not span <= MAX_GRID_POINTS - 1:  # also catches overflow to inf
-        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+        raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
     n = int(round(span))
     if start + step * n - end > 1e-9:
         n -= 1

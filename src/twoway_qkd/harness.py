@@ -440,7 +440,7 @@ def run(config: SimConfig, workers: int = 1) -> RunStats:
     ``config.rounds``.
     """
     if not isinstance(workers, numbers.Integral) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     n = -(-config.rounds // CHUNK_ROUNDS)
     workers = _pool_size(int(workers), n)
     if workers == 1:

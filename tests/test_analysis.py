@@ -217,6 +217,27 @@ class TestProtocolComparison:
             protocol_comparison(float("nan"))
 
 
+@pytest.mark.parametrize(
+    "reject",
+    [
+        lambda: binary_entropy(1.5),
+        lambda: bb84_mutual_information(0.6),
+        lambda: twoway_mutual_information(2.0),
+        lambda: disturbance_grid(0.0, float("nan"), 0.1),
+        lambda: disturbance_grid(0.0, 0.5, 0.0),
+        lambda: disturbance_grid(0.4, 0.1, 0.1),
+        lambda: disturbance_grid(0.0, float(MAX_GRID_POINTS), 1.0),
+    ],
+    ids=["entropy", "bb84", "twoway", "non-finite", "zero-step", "end-before-start", "too-many"],
+)
+def test_every_rejected_value_raises_config_error(reject):
+    # One exception type for every rejected value, still a ValueError, so
+    # the CLI maps it to exit 3 without re-labelling it.
+    assert issubclass(ConfigError, ValueError)
+    with pytest.raises(ConfigError):
+        reject()
+
+
 def test_entropy_against_quadrature():
     """Independent cross-check: h agrees with a direct numpy evaluation."""
     xs = np.linspace(1e-6, 1 - 1e-6, 101)

@@ -267,6 +267,15 @@ class TestAnalyze:
         signs = [row["secret_fraction"] > 0 for row in payload["rows"]]
         assert signs[0] and not signs[-1]
 
+    @pytest.mark.parametrize("grid", [" 0:0.5:0.25", "0:0.5:0.25\n", "0\n:\t0.5 :0.25\u2028"])
+    def test_grid_padding_is_stripped_from_the_metadata(self, capsys, grid):
+        # float() accepts whitespace around each part, line breaks included;
+        # echoed as given, they would split the CSV metadata line.
+        code, out, _ = run_cli(capsys, "analyze", f"--d-grid={grid}")
+        assert code == 0
+        assert out.split("\n")[0] == "# d_grid=0:0.5:0.25"
+        assert out.split("\n")[1].startswith("# critical_disturbance=")
+
 
 class TestTable:
     def test_csv(self, capsys):

@@ -346,6 +346,11 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             run(pp_config(rounds=10), workers=0)
 
+    def test_bad_workers_raise_config_error(self):
+        assert issubclass(ConfigError, ValueError)
+        with pytest.raises(ConfigError, match="workers must be a positive integer"):
+            run(pp_config(rounds=10), workers=0)
+
     @pytest.mark.parametrize("workers", [1.5, 2.5, 2.0, True, False, "2", None, -1])
     def test_workers_must_be_a_positive_int(self, workers, monkeypatch, pool_from_one_chunk):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

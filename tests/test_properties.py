@@ -1,11 +1,14 @@
 """Property tests: counter algebra, the chunk plan, threshold rows, config
 validation over non-finite and boundary floats, grid endpoint snapping, and
-``simulate``'s exit codes over edge-case and random command lines."""
+the command line's output contract over edge-case and random argv."""
 
 import contextlib
 import io
 import json
 import math
+import os
+import re
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +16,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import event, given, settings  # noqa: E402
+from hypothesis import assume, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from support import ScriptedRows, played_chunks  # noqa: E402
 
 from twoway_qkd import cli  # noqa: E402
 from twoway_qkd.adversaries import AttackConfig  # noqa: E402
-from twoway_qkd.analysis import disturbance_grid  # noqa: E402
+from twoway_qkd.analysis import MAX_GRID_POINTS, disturbance_grid  # noqa: E402
 from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol, Strategy  # noqa: E402
 from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig, Tally, _below  # noqa: E402
 
@@ -272,42 +275,227 @@ FLOAT_OPTIONS = ("q", "p-segment", "cm-prob", "detector-efficiency", "dark-count
 NATIVE = {"bb84": "intercept-resend", "pp": "nguyen", "lm05": "lucamarini"}
 
 
+def mostly(draw, good, bad):
+    """A draw from ``good`` three times in four, from ``bad`` otherwise."""
+    return draw(bad) if draw(st.integers(min_value=0, max_value=3)) == 0 else draw(good)
+
+
 @st.composite
 def simulate_argv(draw):
-    def value(good, bad):
-        return draw(bad) if draw(st.integers(min_value=0, max_value=3)) == 0 else draw(good)
-
     protocol = draw(st.sampled_from(sorted(NATIVE)))
-    attack = value(st.sampled_from(["none", NATIVE[protocol]]),
-                   st.sampled_from([s.value for s in Strategy]))
+    attack = mostly(draw, st.sampled_from(["none", NATIVE[protocol]]),
+                    st.sampled_from([s.value for s in Strategy]))
     argv = ["simulate", "--protocol", protocol, "--attack", attack,
-            f"--rounds={value(good_rounds, bad_rounds)}"]
+            f"--rounds={mostly(draw, good_rounds, bad_rounds)}"]
     if draw(st.booleans()):
-        argv.append(f"--seed={value(good_seeds, bad_seeds)}")
+        argv.append(f"--seed={mostly(draw, good_seeds, bad_seeds)}")
     for name in FLOAT_OPTIONS:
         if draw(st.booleans()):
-            argv.append(f"--{name}={value(probabilities, bad_floats)}")
+            argv.append(f"--{name}={mostly(draw, probabilities, bad_floats)}")
     return argv
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # usage errors exit through argparse
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# argparse's usage error lines start with "twoway-qkd[ <command>]: error: ",
+# ours with "error: ".
+ERROR_LINE = re.compile(r"(twoway-qkd( \w+)?: )?error: ")
+
+
+def assert_one_error_line(out, err):
+    """A failed command prints nothing on stdout and ends stderr in its only
+    ``error: `` line."""
+    assert out == ""
+    lines = err.splitlines()
+    assert lines and ERROR_LINE.match(lines[-1]), err
+    assert [line for line in lines if "error: " in line] == [lines[-1]], err
 
 
 class TestSimulateCommandLine:
     @settings(max_examples=200, deadline=None, database=None)
     @given(simulate_argv())
     def test_any_argv_ends_in_a_documented_exit(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # usage errors exit through argparse
-                code = exc.code
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err = run_main(argv)
         event(f"exit {code}")
         assert code in (0, 2, 3), (code, err)
         assert "Traceback" not in out + err
         if code:
-            assert out == ""
-            assert err
+            assert_one_error_line(out, err)
         else:
             payload = json.loads(out)
             assert set(payload) == {"config", "stats", "version"}
             assert payload["stats"]["rounds"] == payload["config"]["rounds"]
+
+
+def _grid_points(start, end, step):
+    """The span in steps that ``disturbance_grid`` would check, or None if
+    it rejects the values before building anything."""
+    if not all(math.isfinite(v) for v in (start, end, step)) or step <= 0.0 or end < start:
+        return None
+    return (end - start) / step
+
+
+@st.composite
+def grid_specs(draw):
+    """START:END:STEP text.  Three times in four it is a grid inside
+    [0, 0.5] of at most about 1,000 points; otherwise malformed text or three
+    edge or ordinary floats.  Each part may be padded with whitespace that
+    float() accepts.  A grid of more than about 1,000 points but under the
+    cap is not drawn, so that no example builds a large table."""
+    kind = draw(st.integers(min_value=0, max_value=7))
+    if kind == 0:
+        return draw(st.one_of(
+            st.sampled_from(["", ":", "::", "0:0.5", "0:0.5:0.1:0.2", "a:b:c", "0:0.5:",
+                             "0:0.5:0.1%", "0:0.5:1e", "--1:0:1", "0_0:0.5:0.1"]),
+            st.text(max_size=16),
+        ))
+    if kind == 1:
+        start = draw(st.one_of(st.sampled_from(_EDGES), st.floats()))
+        step = draw(st.one_of(
+            st.sampled_from([0.0, -0.0, -0.1, 5e-324, 1e-300, math.inf, math.nan]),
+            st.floats(),
+        ))
+        count = draw(st.one_of(st.integers(min_value=0, max_value=1000),
+                               st.integers(min_value=MAX_GRID_POINTS, max_value=10**12)))
+        end = draw(st.one_of(st.just(start + count * step), st.just(start - 0.1),
+                             st.sampled_from(_EDGES), st.floats()))
+        span = _grid_points(start, end, step)
+        assume(span is None or not 1100 < span <= MAX_GRID_POINTS - 1)
+    else:
+        start = draw(st.floats(min_value=0.0, max_value=0.5))
+        end = draw(st.floats(min_value=start, max_value=0.5))
+        step = draw(st.floats(min_value=max((end - start) / 1000, 1e-300), max_value=1.0))
+    pad = st.sampled_from(["", "", "", "", " ", "\t", "\n", "\r\n", "\x0c", "\u2028"])
+    return ":".join(draw(pad) + repr(v) + draw(pad) for v in (start, end, step))
+
+
+workers_values = st.sampled_from(["1", "2"])
+bad_workers = st.one_of(
+    st.sampled_from(["0", "-1", str(10**30), "2.0", "", "1e1", "0x2"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """(argv without --output, the --format value or None, an --output kind)
+    for any of the three subcommands."""
+    command = draw(st.sampled_from(["simulate", "analyze", "table"]))
+    if command == "simulate":
+        # Half the runs are plain, so that the options below often meet a run
+        # that succeeds.
+        protocol = draw(st.sampled_from(sorted(NATIVE)))
+        plain = ["simulate", "--protocol", protocol, f"--rounds={draw(good_rounds)}"]
+        argv = plain if draw(st.booleans()) else draw(simulate_argv())
+        # --rounds stays at most two chunks, so no --workers value starts a pool.
+        if draw(st.booleans()):
+            argv.append(f"--workers={mostly(draw, workers_values, bad_workers)}")
+    elif command == "analyze":
+        argv = ["analyze"]
+        if draw(st.integers(min_value=0, max_value=7)):
+            argv.append(f"--d-grid={draw(grid_specs())}")
+    else:
+        argv = ["table"]
+        if draw(st.booleans()):
+            argv.append(f"--p-segment={mostly(draw, probabilities, bad_floats)}")
+    fmt = mostly(draw, st.sampled_from([None, "csv", "json"]), st.text(max_size=6))
+    if fmt is not None:
+        argv.append(f"--format={fmt}")
+    output = mostly(draw, st.sampled_from([None, "file"]), st.sampled_from(["dir", "missing", ""]))
+    return argv, fmt, output
+
+
+DEFAULT_FORMAT = {"simulate": "json", "analyze": "csv", "table": "csv"}
+ROW_KEYS = {
+    "analyze": ["d", "i_ab", "i_ae", "secret_fraction"],
+    "table": ["protocol", "keying", "modes", "attack_shows_in",
+              "critical_disturbance", "passes", "transmittance"],
+}
+
+
+def parse_csv(text):
+    """(metadata, header, rows) of a CSV document; every line ends in a
+    newline, the ``# key=value`` lines come first, and each row has a field
+    for each column of the header."""
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    n_meta = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    assert all(line.startswith("# ") and "=" in line for line in lines[:n_meta])
+    meta = dict(line[2:].split("=", 1) for line in lines[:n_meta])
+    header, *rows = (line.split(",") for line in lines[n_meta:])
+    assert all(len(row) == len(header) for row in rows), text
+    return meta, header, rows
+
+
+def assert_document(command, fmt, text):
+    """The document has the shape its command states in ``fmt``."""
+    if fmt == "json":
+        payload = json.loads(text)
+        config, version = payload.pop("config"), payload.pop("version")
+        extra = {"critical_disturbance"} if command == "analyze" else set()
+        body = payload.pop("stats" if command == "simulate" else "rows")
+        assert set(payload) == extra
+        rows = [body] if command == "simulate" else body
+        header = list(rows[0])
+        assert all(list(row) == header for row in rows)
+        rows = [[str(row[key]) for key in header] for row in rows]
+        meta = {key: str(value) for key, value in config.items()}
+    else:
+        meta, header, rows = parse_csv(text)
+        version = meta.pop("version")
+        if command == "analyze":
+            float(meta.pop("critical_disturbance"))
+    assert version == cli.__version__
+    if command == "simulate":
+        assert len(rows) == 1
+        assert rows[0][header.index("rounds")] == meta["rounds"]
+    else:
+        assert header == ROW_KEYS[command]
+        assert set(meta) == {"d_grid" if command == "analyze" else "p_segment"}
+        assert rows
+    if command == "table":
+        assert [row[0] for row in rows] == ["bb84", "pp", "lm05"]
+    if command == "analyze":
+        assert all(0.0 <= float(row[0]) <= 0.5 for row in rows)
+
+
+class TestCommandLineContract:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(command_lines())
+    def test_any_argv_keeps_the_output_contract(self, case):
+        argv, fmt, output = case
+        # Hypothesis runs each example in the test body, so the directory is
+        # made here rather than taken from a function-scoped fixture.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = {
+                None: None,
+                "file": os.path.join(tmp, "out.txt"),
+                "dir": tmp,
+                "missing": os.path.join(tmp, "missing", "out.txt"),
+                "": "",
+            }[output]
+            if path is not None:
+                argv = [*argv, f"--output={path}"]
+            code, out, err = run_main(argv)
+            event(f"{argv[0]} exit {code}")
+            assert code in (0, 2, 3, 4), (code, err)
+            assert "Traceback" not in out + err
+            if code:
+                assert_one_error_line(out, err)
+                return
+            assert err == ""
+            if path is None:
+                text = out
+            else:
+                assert out == ""
+                with open(path, encoding="utf-8") as handle:
+                    text = handle.read()
+        assert_document(argv[0], fmt or DEFAULT_FORMAT[argv[0]], text)
