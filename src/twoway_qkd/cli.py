@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 from . import __version__
 from .analysis import (
@@ -123,23 +124,52 @@ def _csv_value(value: object) -> str:
 def _csv_document(meta: dict[str, object], rows: list[dict[str, object]]) -> str:
     lines = [f"# {key}={_csv_value(value)}" for key, value in meta.items()]
     if rows:
-        header = list(rows[0])
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_csv_value(row[key]) for key in header))
+        lines.append(",".join(rows[0]))
+        template = "\n".join([",".join(["%s"] * len(rows[0]))] * len(rows))
+        cells = ["indeterminable" if v is None else v for v in _cells(rows)]
+        lines.append(template % tuple(cells))
     return "\n".join(lines) + "\n"
+
+
+def _cells(rows: list[dict[str, object]]) -> chain[object]:
+    return chain.from_iterable(map(dict.values, rows))
+
+
+def _json_block(brackets: str, items: list[str], depth: int) -> str:
+    """``items`` as ``json.dumps(indent=2)`` lays out a container ``depth`` deep."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    return brackets[0] + pad + "  " + f",{pad}  ".join(items) + pad + brackets[1]
 
 
 def _emit(
     fmt: str, config: dict[str, object], key: str, body: object, **extra: object
 ) -> str:
-    """One output document: ``body`` goes under ``key`` (``stats`` or ``rows``)."""
-    if fmt == "json":
-        import json  # only here: CSV output and --version never load it
-        payload = {"config": config, **extra, key: body, "version": __version__}
-        return json.dumps(payload, indent=2) + "\n"
-    meta = {**config, **extra, "version": __version__}
-    return _csv_document(meta, [body] if isinstance(body, dict) else body)
+    """One output document: ``body`` goes under ``key`` (``stats`` or ``rows``).
+
+    ``config`` is flat, ``extra`` holds scalars, and ``body`` is a flat object or
+    a list of flat objects with the first row's keys in the same order.  JSON
+    is ``json.dumps(payload, indent=2)``'s bytes: a ``%s`` template filled from
+    one C-encoder call, which leaves no raw newline inside an encoded scalar.
+    """
+    rows = [body] if isinstance(body, dict) else body
+    if fmt == "csv":
+        return _csv_document({**config, **extra, "version": __version__}, rows)
+    import json  # only here: CSV output and --version never load it
+    quote = json.encoder.encode_basestring_ascii  # what json.dumps does to a str
+
+    def obj(fields: dict[str, str], depth: int) -> str:
+        items = [quote(k).replace("%", "%%") + ": " + v for k, v in fields.items()]
+        return _json_block("{}", items, depth)
+
+    listed = rows is body  # a list of rows, not one object
+    row = obj(dict.fromkeys(rows[0] if rows else (), "%s"), 1 + listed)
+    fields = {"config": obj(dict.fromkeys(config, "%s"), 1), **dict.fromkeys(extra, "%s")}
+    fields[key] = _json_block("[]", [row] * len(rows), 1) if listed else row
+    template = obj({**fields, "version": "%s"}, 0) + "\n"
+    values = [*config.values(), *extra.values(), *_cells(rows), __version__]
+    return template % tuple(json.dumps(values, separators=("\n", ":"))[1:-1].split("\n"))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import oracles
+from twoway_qkd import __version__
 from twoway_qkd.channel import Protocol, Strategy
+from twoway_qkd.cli import _csv_value
 
 HALF = Fraction(1, 2)
 
@@ -163,3 +166,38 @@ def closed_forms(protocol, strategy, q, cm_prob, t, dark_prob):
         "eve_cm_rounds": eve_cm,
         "eve_cm_errors": eve_cm_errors,
     }
+
+
+def reference_document(fmt, config, key, body, **extra):
+    """The output document as ``json.dumps(payload, indent=2)`` lays out the
+    JSON, and as a row-by-row writer of ``cli._csv_value`` fields lays out
+    the CSV: the bytes ``cli._emit`` must print."""
+    if fmt == "json":
+        payload = {"config": config, **extra, key: body, "version": __version__}
+        return json.dumps(payload, indent=2) + "\n"
+    meta = {**config, **extra, "version": __version__}
+    return reference_csv(meta, [body] if isinstance(body, dict) else body)
+
+
+def reference_csv(meta, rows):
+    """``cli._csv_document``'s bytes: ``# key=value`` lines, then the first
+    row's keys as the header and each row's fields in that order."""
+    lines = [f"# {key}={_csv_value(value)}" for key, value in meta.items()]
+    if rows:
+        header = list(rows[0])
+        lines.append(",".join(header))
+        lines += [",".join(_csv_value(row[key]) for key in header) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(actual, expected):
+    """``actual == expected``, reporting the first line that differs: pytest's
+    own diff of two long documents can run for minutes."""
+    if actual != expected:
+        got, want = actual.split("\n"), expected.split("\n")
+        line = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                    min(len(got), len(want)))
+        raise AssertionError(
+            f"line {line + 1} differs: {got[line:line + 1]!r} != {want[line:line + 1]!r}"
+            f" ({len(got)} and {len(want)} lines)"
+        )

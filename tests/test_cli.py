@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from support import assert_same_text, reference_document
 from twoway_qkd import __version__
+from twoway_qkd.analysis import (
+    critical_disturbance,
+    disturbance_grid,
+    information_table,
+    protocol_comparison,
+)
 from twoway_qkd.cli import build_parser, main
 from twoway_qkd.harness import CHUNK_ROUNDS, POOL_MIN_CHUNKS
 
@@ -297,6 +304,46 @@ class TestTable:
         assert [row["protocol"] for row in rows] == ["bb84", "pp", "lm05"]
         assert rows[1]["critical_disturbance"] is None
         assert rows[0]["critical_disturbance"] == pytest.approx(0.11, abs=1e-3)
+
+
+class TestDocumentBytes:
+    """Whole commands print ``support.reference_document``'s bytes: the
+    layout of ``json.dumps(payload, indent=2)`` and of a row-by-row CSV
+    writer, over rows built here from ``analysis``."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_analyze(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "analyze", "--d-grid", "0:0.5:0.001",
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        rows = information_table(disturbance_grid(0.0, 0.5, 0.001))
+        assert len(rows) == 501
+        expected = reference_document(fmt, {"d_grid": "0:0.5:0.001"}, "rows", rows,
+                                      critical_disturbance=critical_disturbance())
+        assert_same_text(out, expected)
+        if fmt == "json":
+            assert json.loads(out)["rows"] == rows
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_table(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "table", "--p-segment", "0.37", "--format", fmt)
+        assert (code, err) == (0, "")
+        rows = protocol_comparison(0.37)
+        assert_same_text(out, reference_document(fmt, {"p_segment": 0.37}, "rows", rows))
+        if fmt == "json":
+            assert json.loads(out)["rows"] == rows
+
+    def test_simulate(self, capsys):
+        argv = ["simulate", "--protocol", "lm05", "--attack", "lucamarini", "--q", "0.6",
+                "--rounds", "5000", "--p-segment", "0.9", "--dark-count-prob", "0.01",
+                "--cm-prob", "0.25", "--seed", "3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        config, stats = json.loads(out)["config"], json.loads(out)["stats"]
+        assert_same_text(out, reference_document("json", config, "stats", stats))
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert_same_text(out, reference_document("csv", config, "stats", stats))
 
 
 class TestEntrypoints:

@@ -1,6 +1,8 @@
 """Property tests: counter algebra, the chunk plan, threshold rows, config
-validation over non-finite and boundary floats, grid endpoint snapping, and
-the command line's output contract over edge-case and random argv."""
+validation over non-finite and boundary floats, grid endpoint snapping, the
+command line's output contract over edge-case and random argv, and the
+output documents' bytes against ``json.dumps(indent=2)`` and a plain CSV
+writer."""
 
 import contextlib
 import io
@@ -16,9 +18,15 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, event, given, settings  # noqa: E402
+from hypothesis import assume, event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from support import ScriptedRows, played_chunks  # noqa: E402
+from support import (  # noqa: E402
+    ScriptedRows,
+    assert_same_text,
+    played_chunks,
+    reference_csv,
+    reference_document,
+)
 
 from twoway_qkd import cli  # noqa: E402
 from twoway_qkd.adversaries import AttackConfig  # noqa: E402
@@ -499,3 +507,66 @@ class TestCommandLineContract:
                 with open(path, encoding="utf-8") as handle:
                     text = handle.read()
         assert_document(argv[0], fmt or DEFAULT_FORMAT[argv[0]], text)
+
+
+# Text that a template writer could misread: format directives, JSON
+# escapes, a line break, a Unicode line separator and non-ASCII letters.
+_AWKWARD = ["%", "%s", "%%", "%(x)s", '"', "\\", "\n", "\u2028", "é", "漢字", ""]
+awkward_text = st.one_of(
+    st.sampled_from(_AWKWARD),
+    st.lists(st.sampled_from(_AWKWARD) | st.text(max_size=3), max_size=4).map("".join),
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    awkward_text,
+)
+flat_objects = st.dictionaries(awkward_text, scalars, max_size=5)
+
+
+@st.composite
+def documents(draw):
+    """(config, key, body, extra) in the shape ``cli._emit`` accepts: ``body``
+    is one flat object, or a list of flat objects keyed like the first."""
+    config = draw(flat_objects)
+    extra = draw(st.dictionaries(
+        awkward_text.filter(lambda k: k not in ("config", "stats", "rows", "version")),
+        scalars, max_size=2))
+    if draw(st.booleans()):
+        return config, "stats", draw(flat_objects), extra
+    keys = draw(st.lists(awkward_text, unique=True, max_size=5))
+    count = draw(st.sampled_from([0, 1, 2, 40]) | st.integers(min_value=3, max_value=40))
+    rows = [dict(zip(keys, draw(st.lists(scalars, min_size=len(keys), max_size=len(keys)))))
+            for _ in range(count)]
+    return config, "rows", rows, extra
+
+
+class TestDocumentBytes:
+    """``cli._emit`` prints what ``json.dumps(indent=2)`` and a row-by-row
+    CSV writer print, byte for byte (``support.reference_document``)."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(documents(), st.sampled_from(["json", "csv"]))
+    @example(({}, "rows", [], {}), "json")
+    @example(({}, "stats", {}, {}), "json")
+    @example(({"%s": "%(x)s"}, "rows", [{"d": -0.0, "%": None}], {"c": 5e-324}), "json")
+    def test_emit_matches_the_reference(self, document, fmt):
+        config, key, body, extra = document
+        event(f"{fmt} {key} {'many' if len(body) > 2 else len(body)}")
+        expected = reference_document(fmt, config, key, body, **extra)
+        assert_same_text(cli._emit(fmt, config, key, body, **extra), expected)
+
+    @PROPERTY
+    @given(flat_objects, st.lists(awkward_text, unique=True, min_size=1, max_size=4),
+           st.lists(st.sampled_from([None, "%s", "%(x)s", "%", -0.0, math.nan]) | scalars,
+                    max_size=40))
+    @example({}, ["a"], [])
+    @example({"%(x)s": None}, ["%s", "b"], [None, "%s", "%(x)s", "%"])
+    def test_csv_document_never_reads_a_value_as_a_directive(self, meta, header, cells):
+        width = len(header)
+        rows = [dict(zip(header, cells[i:i + width]))
+                for i in range(0, len(cells) - width + 1, width)]
+        assert_same_text(cli._csv_document(meta, rows), reference_csv(meta, rows))

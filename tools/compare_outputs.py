@@ -9,8 +9,8 @@ process, two at a time:
 * ``simulate`` for the six protocol/attack pairings, q in {0, 0.4, 1} and
   four channels (lossless; lossy; lossy with dark counts; very lossy with
   frequent dark counts), as JSON and as CSV, at 9000 rounds;
-* ``analyze --d-grid 0:0.5:0.00001`` and ``table --p-segment 0.37`` in both
-  formats;
+* ``analyze --d-grid 0:0.5:0.00001``, ``analyze --d-grid=-0.0:0.5:0.125`` (a
+  signed zero) and ``table --p-segment 0.37`` in both formats;
 * ``simulate`` at ``--workers 1``, ``2`` and ``3`` for 1, 4097, 16383, 16385,
   2e5 and 1e6 rounds on the three attacked pairings, lossy with dark counts,
   and for ``lm05``/``lucamarini`` at ``2 * POOL_MIN_CHUNKS * CHUNK_ROUNDS``
@@ -89,6 +89,7 @@ def sweep() -> list[list[str]]:
     ]
     for fmt in ("json", "csv"):
         commands.append(["analyze", "--d-grid", "0:0.5:0.00001", "--format", fmt])
+        commands.append(["analyze", "--d-grid=-0.0:0.5:0.125", "--format", fmt])
         commands.append(["table", "--p-segment", "0.37", "--format", fmt])
     return commands
 
