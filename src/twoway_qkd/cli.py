@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable, Iterable
 from itertools import chain
 
 from . import __version__
@@ -115,24 +116,31 @@ def _output_args(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument("--output", default=None, metavar="PATH")
 
 
-def _csv_value(value: object) -> str:
-    if value is None:
-        return "indeterminable"
-    return str(value)
+_BLOCK_ROWS = 4096  # rows per filled template: the values held at once are one block's
 
 
-def _csv_document(meta: dict[str, object], rows: list[dict[str, object]]) -> str:
-    lines = [f"# {key}={_csv_value(value)}" for key, value in meta.items()]
-    if rows:
-        lines.append(",".join(rows[0]))
-        template = "\n".join([",".join(["%s"] * len(rows[0]))] * len(rows))
-        cells = ["indeterminable" if v is None else v for v in _cells(rows)]
-        lines.append(template % tuple(cells))
-    return "\n".join(lines) + "\n"
+def _csv_cells(values: Iterable[object]) -> list[object]:
+    """Each value as CSV prints it: a missing value (None) is ``indeterminable``."""
+    return ["indeterminable" if v is None else v for v in values]
 
 
-def _cells(rows: list[dict[str, object]]) -> chain[object]:
-    return chain.from_iterable(map(dict.values, rows))
+def _csv_document(meta: dict[str, object], rows: list[dict[str, object]]) -> list[str]:
+    lines = [f"# {key}={value}" for key, value in zip(meta, _csv_cells(meta.values()))]
+    if not rows:
+        return ["\n".join(lines) + "\n"]
+    head = "\n".join([*lines, ",".join(rows[0])]) + "\n"
+    return [head, *_fill(rows, ",".join(["%s"] * len(rows[0])), "\n", _csv_cells), "\n"]
+
+
+def _fill(rows: list[dict[str, object]], row: str, sep: str, texts: Callable) -> list[str]:
+    """``sep.join([row] * len(rows))`` with the rows' values, as ``texts`` turns
+    them, in its ``%s`` slots: one template and one fill per ``_BLOCK_ROWS`` rows."""
+    pieces = []
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        template = sep * bool(start) + sep.join([row] * len(block))
+        pieces.append(template % tuple(texts(chain.from_iterable(map(dict.values, block)))))
+    return pieces
 
 
 def _json_block(brackets: str, items: list[str], depth: int) -> str:
@@ -145,13 +153,14 @@ def _json_block(brackets: str, items: list[str], depth: int) -> str:
 
 def _emit(
     fmt: str, config: dict[str, object], key: str, body: object, **extra: object
-) -> str:
-    """One output document: ``body`` goes under ``key`` (``stats`` or ``rows``).
+) -> list[str]:
+    """One output document, in pieces: ``body`` goes under ``key`` (``stats`` or ``rows``).
 
     ``config`` is flat, ``extra`` holds scalars, and ``body`` is a flat object or
     a list of flat objects with the first row's keys in the same order.  JSON
-    is ``json.dumps(payload, indent=2)``'s bytes: a ``%s`` template filled from
-    one C-encoder call, which leaves no raw newline inside an encoded scalar.
+    is ``json.dumps(payload, indent=2)``'s bytes: ``%s`` templates filled from
+    C-encoder calls, one for the config, extras and version and one per block
+    of rows; the encoder leaves no raw newline inside an encoded scalar.
     """
     rows = [body] if isinstance(body, dict) else body
     if fmt == "csv":
@@ -163,16 +172,22 @@ def _emit(
         items = [quote(k).replace("%", "%%") + ": " + v for k, v in fields.items()]
         return _json_block("{}", items, depth)
 
+    def encode(values: Iterable[object]) -> list[str]:
+        text = json.dumps(list(values), separators=("\n", ":"))[1:-1]
+        return text.split("\n") if text else []
+
     listed = rows is body  # a list of rows, not one object
+    slot = "\0"  # marks where the rows go: every key and string escapes a NUL
     row = obj(dict.fromkeys(rows[0] if rows else (), "%s"), 1 + listed)
     fields = {"config": obj(dict.fromkeys(config, "%s"), 1), **dict.fromkeys(extra, "%s")}
-    fields[key] = _json_block("[]", [row] * len(rows), 1) if listed else row
+    fields[key] = _json_block("[]", [slot] if rows else [], 1) if listed else slot
     template = obj({**fields, "version": "%s"}, 0) + "\n"
-    values = [*config.values(), *extra.values(), *_cells(rows), __version__]
-    return template % tuple(json.dumps(values, separators=("\n", ":"))[1:-1].split("\n"))
+    filled = template % tuple(encode([*config.values(), *extra.values(), __version__]))
+    head, _, tail = filled.partition(slot)
+    return [head, *_fill(rows, row, ",\n    ", encode), tail]
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
+def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     # Imported here so that --version, table and analyze skip it (2.4 ms on 2 CPUs).
     from . import harness
     from .adversaries import AttackConfig
@@ -193,7 +208,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     return _emit(args.format, config.as_dict(), "stats", stats.as_dict())
 
 
-def _cmd_analyze(args: argparse.Namespace) -> str:
+def _cmd_analyze(args: argparse.Namespace) -> list[str]:
     start, end, step = (float(part) for part in args.d_grid.split(":"))
     rows = information_table(disturbance_grid(start, end, step))
     return _emit(
@@ -205,7 +220,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
     )
 
 
-def _cmd_table(args: argparse.Namespace) -> str:
+def _cmd_table(args: argparse.Namespace) -> list[str]:
     rows = protocol_comparison(args.p_segment)
     return _emit(args.format, {"p_segment": args.p_segment}, "rows", rows)
 
@@ -214,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
+        pieces = args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -222,10 +237,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.output is None:
             if sys.stdout is None:  # started with file descriptor 1 closed
                 raise OSError("standard output is closed")
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         else:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

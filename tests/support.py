@@ -8,7 +8,6 @@ from fractions import Fraction
 import oracles
 from twoway_qkd import __version__
 from twoway_qkd.channel import Protocol, Strategy
-from twoway_qkd.cli import _csv_value
 
 HALF = Fraction(1, 2)
 
@@ -170,8 +169,8 @@ def closed_forms(protocol, strategy, q, cm_prob, t, dark_prob):
 
 def reference_document(fmt, config, key, body, **extra):
     """The output document as ``json.dumps(payload, indent=2)`` lays out the
-    JSON, and as a row-by-row writer of ``cli._csv_value`` fields lays out
-    the CSV: the bytes ``cli._emit`` must print."""
+    JSON, and as a row-by-row CSV writer lays out the CSV: the bytes
+    ``cli._emit`` must print, joined."""
     if fmt == "json":
         payload = {"config": config, **extra, key: body, "version": __version__}
         return json.dumps(payload, indent=2) + "\n"
@@ -180,14 +179,19 @@ def reference_document(fmt, config, key, body, **extra):
 
 
 def reference_csv(meta, rows):
-    """``cli._csv_document``'s bytes: ``# key=value`` lines, then the first
-    row's keys as the header and each row's fields in that order."""
-    lines = [f"# {key}={_csv_value(value)}" for key, value in meta.items()]
+    """``cli._csv_document``'s bytes, joined: ``# key=value`` lines, then the
+    first row's keys as the header and each row's fields in that order, with
+    ``indeterminable`` for a missing (None) value."""
+    lines = [f"# {key}={_csv_field(value)}" for key, value in meta.items()]
     if rows:
         header = list(rows[0])
         lines.append(",".join(header))
-        lines += [",".join(_csv_value(row[key]) for key in header) for row in rows]
+        lines += [",".join(_csv_field(row[key]) for key in header) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _csv_field(value):
+    return "indeterminable" if value is None else str(value)
 
 
 def assert_same_text(actual, expected):

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from twoway_qkd.analysis import (
     information_table,
     protocol_comparison,
 )
-from twoway_qkd.cli import build_parser, main
+from twoway_qkd.cli import _BLOCK_ROWS, _emit, build_parser, main
 from twoway_qkd.harness import CHUNK_ROUNDS, POOL_MIN_CHUNKS
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -313,12 +314,21 @@ class TestDocumentBytes:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_analyze(self, capsys, fmt):
-        code, out, err = run_cli(capsys, "analyze", "--d-grid", "0:0.5:0.001",
-                                 "--format", fmt)
+        self.check_analyze(capsys, fmt, 0.5, 0.001, 501)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("count", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_analyze_at_a_block_boundary(self, capsys, fmt, count):
+        self.check_analyze(capsys, fmt, (count - 1) / 10_000, 0.0001, count)
+
+    @staticmethod
+    def check_analyze(capsys, fmt, end, step, count):
+        grid = f"0:{end!r}:{step!r}"
+        code, out, err = run_cli(capsys, "analyze", "--d-grid", grid, "--format", fmt)
         assert (code, err) == (0, "")
-        rows = information_table(disturbance_grid(0.0, 0.5, 0.001))
-        assert len(rows) == 501
-        expected = reference_document(fmt, {"d_grid": "0:0.5:0.001"}, "rows", rows,
+        rows = information_table(disturbance_grid(0.0, end, step))
+        assert len(rows) == count
+        expected = reference_document(fmt, {"d_grid": grid}, "rows", rows,
                                       critical_disturbance=critical_disturbance())
         assert_same_text(out, expected)
         if fmt == "json":
@@ -344,6 +354,25 @@ class TestDocumentBytes:
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert (code, err) == (0, "")
         assert_same_text(out, reference_document("csv", config, "stats", stats))
+
+
+class TestEmitMemory:
+    """``_emit`` fills a document a block of rows at a time, so its peak
+    allocation is about one copy of the document, not several."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_is_at_most_one_and_a_half_documents(self, fmt):
+        rows = information_table(disturbance_grid(0.0, 0.5, 1e-5))
+        assert len(rows) == 50_001
+        extra = {"critical_disturbance": critical_disturbance()}
+        tracemalloc.start()
+        try:
+            pieces = _emit(fmt, {"d_grid": "0:0.5:1e-05"}, "rows", rows, **extra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        length = sum(map(len, pieces))
+        assert peak <= 1.5 * length, f"peak {peak:,} bytes for a {length:,}-byte document"
 
 
 class TestEntrypoints:

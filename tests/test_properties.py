@@ -12,6 +12,7 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -546,27 +547,35 @@ def documents(draw):
 
 class TestDocumentBytes:
     """``cli._emit`` prints what ``json.dumps(indent=2)`` and a row-by-row
-    CSV writer print, byte for byte (``support.reference_document``)."""
+    CSV writer print, byte for byte (``support.reference_document``).  Blocks
+    of 1, 2 or 3 rows make most documents span several blocks."""
 
     @settings(max_examples=150, deadline=None, database=None)
-    @given(documents(), st.sampled_from(["json", "csv"]))
-    @example(({}, "rows", [], {}), "json")
-    @example(({}, "stats", {}, {}), "json")
-    @example(({"%s": "%(x)s"}, "rows", [{"d": -0.0, "%": None}], {"c": 5e-324}), "json")
-    def test_emit_matches_the_reference(self, document, fmt):
+    @given(documents(), st.sampled_from(["json", "csv"]), st.sampled_from([1, 2, 3]))
+    @example(({}, "rows", [], {}), "json", 1)
+    @example(({}, "stats", {}, {}), "json", 1)
+    @example(({"%s": "%(x)s"}, "rows", [{"d": -0.0, "%": None}], {"c": 5e-324}), "json", 1)
+    @example(({}, "rows", [{}, {}, {}], {}), "json", 2)
+    def test_emit_matches_the_reference(self, document, fmt, block_rows):
         config, key, body, extra = document
         event(f"{fmt} {key} {'many' if len(body) > 2 else len(body)}")
         expected = reference_document(fmt, config, key, body, **extra)
-        assert_same_text(cli._emit(fmt, config, key, body, **extra), expected)
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            pieces = cli._emit(fmt, config, key, body, **extra)
+        assert_same_text("".join(pieces), expected)
 
     @PROPERTY
     @given(flat_objects, st.lists(awkward_text, unique=True, min_size=1, max_size=4),
            st.lists(st.sampled_from([None, "%s", "%(x)s", "%", -0.0, math.nan]) | scalars,
-                    max_size=40))
-    @example({}, ["a"], [])
-    @example({"%(x)s": None}, ["%s", "b"], [None, "%s", "%(x)s", "%"])
-    def test_csv_document_never_reads_a_value_as_a_directive(self, meta, header, cells):
+                    max_size=40),
+           st.sampled_from([1, 2, 3]))
+    @example({}, ["a"], [], 1)
+    @example({"%(x)s": None}, ["%s", "b"], [None, "%s", "%(x)s", "%"], 1)
+    def test_csv_document_never_reads_a_value_as_a_directive(self, meta, header, cells,
+                                                              block_rows):
         width = len(header)
         rows = [dict(zip(header, cells[i:i + width]))
                 for i in range(0, len(cells) - width + 1, width)]
-        assert_same_text(cli._csv_document(meta, rows), reference_csv(meta, rows))
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            pieces = cli._csv_document(meta, rows)
+        assert_same_text("".join(pieces), reference_csv(meta, rows))

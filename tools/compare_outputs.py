@@ -11,6 +11,9 @@ process, two at a time:
   frequent dark counts), as JSON and as CSV, at 9000 rounds;
 * ``analyze --d-grid 0:0.5:0.00001``, ``analyze --d-grid=-0.0:0.5:0.125`` (a
   signed zero) and ``table --p-segment 0.37`` in both formats;
+* ``analyze`` grids of 1, ``cli._BLOCK_ROWS`` and ``cli._BLOCK_ROWS + 1``
+  rows (``0.25:0.25:0.1``, ``0:0.4095:0.0001`` and ``0:0.4096:0.0001``; the
+  rows are filled that many at a time) in both formats;
 * ``simulate`` at ``--workers 1``, ``2`` and ``3`` for 1, 4097, 16383, 16385,
   2e5 and 1e6 rounds on the three attacked pairings, lossy with dark counts,
   and for ``lm05``/``lucamarini`` at ``2 * POOL_MIN_CHUNKS * CHUNK_ROUNDS``
@@ -55,6 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from twoway_qkd.cli import _BLOCK_ROWS
 from twoway_qkd.harness import CHUNK_ROUNDS, POOL_MIN_CHUNKS
 
 PAIRINGS = [
@@ -91,6 +95,9 @@ def sweep() -> list[list[str]]:
         commands.append(["analyze", "--d-grid", "0:0.5:0.00001", "--format", fmt])
         commands.append(["analyze", "--d-grid=-0.0:0.5:0.125", "--format", fmt])
         commands.append(["table", "--p-segment", "0.37", "--format", fmt])
+        for grid in ["0.25:0.25:0.1", *(f"0:{(rows - 1) / 10_000!r}:0.0001"
+                                         for rows in (_BLOCK_ROWS, _BLOCK_ROWS + 1))]:
+            commands.append(["analyze", "--d-grid", grid, "--format", fmt])
     return commands
 
 
