@@ -17,7 +17,13 @@ from enum import Enum
 
 
 class ConfigError(ValueError):
-    """A configuration value is outside its allowed range."""
+    """A configuration value is outside its allowed range or of the wrong kind."""
+
+
+def _check_type(name: str, value: object, kind: type) -> None:
+    """Reject a field of the wrong class when the config is built, not when it is read."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 class _Value:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable, Iterable
+from functools import cache
 from itertools import chain
 
 from . import __version__
@@ -109,6 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     tab.set_defaults(func=_cmd_table)
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on its first call, then shared, since
+    parsing keeps no state between calls (``TestParserReuse``)."""
+    return build_parser()
 
 
 def _output_args(sub: argparse.ArgumentParser, default_format: str) -> None:
@@ -226,8 +234,7 @@ def _cmd_table(args: argparse.Namespace) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         pieces = args.func(args)
     except ConfigError as exc:

@@ -79,7 +79,9 @@ from itertools import repeat
 
 from .adversaries import AttackConfig, validate_attack
 from .analysis import binary_entropy
-from .channel import ChannelConfig, ConfigError, Protocol, Strategy, _Frozen, _Value
+from .channel import (
+    ChannelConfig, ConfigError, Protocol, Strategy, _check_type, _Frozen, _Value,
+)
 
 # Rounds per chunk, one bit each in the kernel's ints.  Larger chunks spread
 # each chunk's seeding and threshold walks over more rounds.
@@ -350,6 +352,9 @@ class SimConfig(_Frozen):
                  attack: AttackConfig = AttackConfig(), cm_prob: float = 0.0,
                  channel: ChannelConfig = ChannelConfig()) -> None:
         self._set(protocol, rounds, seed, attack, cm_prob, channel)
+        _check_type("protocol", protocol, Protocol)
+        _check_type("attack", attack, AttackConfig)
+        _check_type("channel", channel, ChannelConfig)
         for name in ("rounds", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):

@@ -34,6 +34,11 @@ class TestAttackConfig:
         with pytest.raises(ConfigError):
             AttackConfig(strategy=Strategy.NGUYEN, q=q)
 
+    @pytest.mark.parametrize("strategy", ["nguyen", None, Protocol.PP])
+    def test_rejects_a_strategy_of_the_wrong_type(self, strategy):
+        with pytest.raises(ConfigError, match="strategy must be of type Strategy"):
+            AttackConfig(strategy=strategy, q=0.5)
+
     @pytest.mark.parametrize("field", ["strategy", "q"])
     def test_fields_cannot_be_assigned_or_deleted(self, field):
         config = AttackConfig(strategy=Strategy.NGUYEN, q=0.5)

@@ -1,17 +1,21 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from support import assert_same_text, reference_document
-from twoway_qkd import __version__
+from twoway_qkd import __version__, cli
 from twoway_qkd.analysis import (
     critical_disturbance,
     disturbance_grid,
@@ -624,3 +628,122 @@ class TestReproducibility:
                 outputs.add(result.stdout)
         assert len(outputs) == 1
         assert json.loads(outputs.pop())["stats"]["rounds"] == 50000
+
+
+def parse(parser, argv):
+    """The ``repr`` (so that NaN equals NaN) of ``vars`` of what ``parser`` reads
+    from ``argv``, or, where it exits, of the exit code and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(vars(parser.parse_args(argv)))
+        except SystemExit as exc:
+            return repr((exc.code, out.getvalue(), err.getvalue()))
+
+
+# A command line for each subcommand, with its options given and left out.
+SAMPLE_ARGV = [
+    ["simulate", "--protocol", "pp", "--rounds", "100"],
+    ["simulate", "--protocol", "lm05", "--attack", "lucamarini", "--q", "0.4",
+     "--rounds", "9000", "--seed", "3", "--p-segment", "0.9", "--cm-prob", "0.25",
+     "--detector-efficiency", "0.8", "--dark-count-prob", "1e-3", "--workers", "2",
+     "--format", "csv", "--output", "out.csv"],
+    ["analyze"],
+    ["analyze", "--d-grid", " 0 : 0.5 : 0.1 ", "--format", "json", "--output", "a.json"],
+    ["table"],
+    ["table", "--p-segment", "0.37", "--format", "json"],
+]
+OUTPUT_PATHS = {None: None, "file": "out.txt", "dir": ".", "missing": "missing/out.txt", "": ""}
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process, built on its first call.
+    That is safe only while parsing leaves the parser as it found it."""
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_main_builds_one_parser(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # one sample writes to a relative --output
+        built = []
+
+        def spy():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            for argv in SAMPLE_ARGV[2:] + [["table", "--p-segment", "0"]]:
+                main(argv)
+            with pytest.raises(SystemExit):
+                main(["--version"])
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_shared_parser_reads_the_grammar_as_a_fresh_one(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from test_properties import command_lines
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(command_lines())
+        def check(case):
+            argv, _, output = case
+            if OUTPUT_PATHS[output] is not None:
+                argv = [*argv, f"--output={OUTPUT_PATHS[output]}"]
+            assert parse(cli._parser(), argv) == parse(build_parser(), argv)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["simulate", "--protocol", "pp", "--rounds", "16", "--workers", "0"], 2),
+            (["simulate", "--protocol", "pp", "--rounds", "-3", "--format", "csv"], 3),
+            (["simulate", "--help"], 0),
+            (["--help"], 0),
+            (["--version"], 0),
+        ],
+    )
+    def test_shared_parser_after_each_exit_path(self, capsys, argv, code):
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        for sample in SAMPLE_ARGV:
+            assert parse(cli._parser(), sample) == parse(build_parser(), sample)
+
+    def test_no_action_has_a_mutable_default(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for each in (parser, *sub.choices.values()):
+            defaults = [action.default for action in each._actions]
+            defaults += each._defaults.values()
+            assert not [d for d in defaults if isinstance(d, (list, dict, set))]
+
+    def test_concurrent_calls_write_what_each_writes_alone(self, tmp_path):
+        commands = [
+            SAMPLE_ARGV[1][:-2],  # every simulate option, less its --output
+            ["simulate", "--protocol", "pp", "--attack", "nguyen", "--q", "0.6",
+             "--rounds", "40000", "--seed", "5", "--cm-prob", "0.3"],
+            ["analyze", "--d-grid", "0:0.5:0.0001", "--format", "json"],
+            ["table", "--p-segment", "0.9"],
+        ]
+        for index, argv in enumerate(commands):
+            assert main([*argv, "--output", str(tmp_path / f"alone{index}")]) == 0
+        cli._parser.cache_clear()  # the threads also race to build it
+        start = threading.Barrier(len(commands))
+
+        def call(index):
+            start.wait()
+            return [main([*commands[index], "--output", str(tmp_path / f"thread{index}-{n}")])
+                    for n in range(5)]
+
+        with ThreadPoolExecutor(max_workers=len(commands)) as pool:
+            assert list(pool.map(call, range(len(commands)))) == [[0] * 5] * len(commands)
+        for index in range(len(commands)):
+            alone = (tmp_path / f"alone{index}").read_bytes()
+            for n in range(5):
+                assert (tmp_path / f"thread{index}-{n}").read_bytes() == alone, commands[index]

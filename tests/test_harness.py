@@ -57,6 +57,17 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             SimConfig(protocol=Protocol.PP, **kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("protocol", "pp"), ("protocol", Strategy.NGUYEN), ("protocol", None),
+         ("attack", "nguyen"), ("attack", Strategy.NGUYEN), ("attack", ChannelConfig()),
+         ("channel", None), ("channel", AttackConfig()), ("channel", 0.9)],
+    )
+    def test_rejects_fields_of_the_wrong_type(self, field, value):
+        kwargs = {"protocol": Protocol.PP, "rounds": 100, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be of type"):
+            SimConfig(**kwargs)
+
     def test_accepts_numpy_integers(self):
         config = SimConfig(protocol=Protocol.PP, rounds=np.int64(16), seed=np.uint32(3))
         assert type(config.rounds) is int and type(config.seed) is int

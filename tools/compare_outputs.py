@@ -26,9 +26,13 @@ process, two at a time:
 Each command's exit code, stdout and stderr must match between the trees,
 in the working tree the three worker counts must also match each other, and
 each error-path command must end in its documented exit code.  Then each
-tree runs every ``simulate`` command above at ``--workers 2`` through one
-interpreter's ``cli.main``, one after another, so that pooled runs start and
-shut down their pools between runs played in-process; each output must
+tree runs every command above through one interpreter's ``cli.main``, one
+after another, with a ``SystemExit`` read as its exit code:
+``--version`` and each error-path command, each ahead of one of the first
+runs, so that the runs parse with a parser that has been through every exit
+path; each ``simulate`` command at ``--workers 2``, so that pooled runs
+start and shut down their pools between runs played in-process; and every
+``analyze`` and ``table`` command.  Each exit code, stdout and stderr must
 match that tree's per-process output, and the interpreter must exit 0 with
 nothing else on stderr.  Last, each tree plays its reference model,
 ``protocols.ROUND_FUNCTIONS``, in-process on the six pairings, the four
@@ -148,7 +152,10 @@ results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors, --help and --version
+            code = exc.code
     results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
@@ -183,12 +190,15 @@ def reference_cases() -> list[tuple]:
             for p, dark in CHANNELS]
 
 
-def pooled_cases(commands, groups) -> list[tuple[list[str], list[str]]]:
-    """(command run in-process at ``--workers 2``, per-process command whose
-    output it must equal) for every ``simulate`` command."""
-    cases = [(command + ["--workers", "2"], command)
-             for command in commands if command[0] == "simulate"]
-    return cases + [(group[1], group[1]) for group in groups]
+def in_process_cases(commands, groups, errors) -> list[tuple[list[str], list[str]]]:
+    """(command run in-process, per-process command whose output it must
+    equal): each ``simulate`` command at ``--workers 2``, every other command
+    as it is, and each exit path ahead of one of the first runs."""
+    cases = [(command + ["--workers", "2"] if command[0] == "simulate" else command,
+              command) for command in commands]
+    cases += [(group[1], group[1]) for group in groups]
+    exits = [(command, command) for command, _ in errors]
+    return [case for pair in zip(exits, cases) for case in pair] + cases[len(exits):]
 
 
 def in_process(tree: Path, inputs, script: str = IN_PROCESS) -> list | str:
@@ -231,8 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     simple = sweep()
     commands = (simple + [command for group in groups for command in group]
                 + [command for command, _ in errors])
-    pooled = pooled_cases(simple, groups)
-    pooled_commands = [command for command, _ in pooled]
+    inline = in_process_cases(simple, groups, errors)
+    inline_commands = [command for command, _ in inline]
     reference = reference_cases()
     with tempfile.TemporaryDirectory() as tmp:
         try:
@@ -242,10 +252,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot unpack {args.ref!r}: {reason}", file=sys.stderr)
             return 2
         ref_out = outputs(Path(tmp), commands)
-        ref_pooled = in_process(Path(tmp), pooled_commands)
+        ref_inline = in_process(Path(tmp), inline_commands)
         ref_tallies = in_process(Path(tmp), reference, REFERENCE)
     new_out = outputs(ROOT, commands)
-    new_pooled = in_process(ROOT, pooled_commands)
+    new_inline = in_process(ROOT, inline_commands)
     new_tallies = in_process(ROOT, reference, REFERENCE)
 
     stats_differ = 0
@@ -266,13 +276,13 @@ def main(argv: list[str] | None = None) -> int:
         if per_process[tuple(command)][0] != code:
             print(f"exit code is not {code}: twoway-qkd {' '.join(command)}")
             return 1
-    for tree, out, pooled_out in ((args.ref, ref_out, ref_pooled),
-                                  ("the working tree", new_out, new_pooled)):
-        if isinstance(pooled_out, str):
-            print(f"in-process pass failed in {tree}: {pooled_out}")
+    for tree, out, inline_out in ((args.ref, ref_out, ref_inline),
+                                  ("the working tree", new_out, new_inline)):
+        if isinstance(inline_out, str):
+            print(f"in-process pass failed in {tree}: {inline_out}")
             return 1
         per_process = {tuple(command): output for command, output in zip(commands, out)}
-        for (command, expected), output in zip(pooled, pooled_out):
+        for (command, expected), output in zip(inline, inline_out):
             if tuple(output) != per_process[tuple(expected)]:
                 print(f"in-process run differs from its own process in {tree}: "
                       f"twoway-qkd {' '.join(command)}")
@@ -294,8 +304,8 @@ def main(argv: list[str] | None = None) -> int:
                  f"{len(commands)} commands identical to {args.ref} except for the "
                  f"statistics of {stats_differ} simulate commands")
     print(f"{identical} ({size:,} bytes of output, {failed} nonzero exits); "
-          f"{len(pooled)} simulate commands at --workers 2 in one interpreter "
-          f"byte-identical to their own processes in both trees; "
+          f"{len(inline)} commands in one interpreter byte-identical to their "
+          f"own processes in both trees; "
           f"{len(reference)} reference-model tallies identical")
     return 1 if stats_differ else 0
 
