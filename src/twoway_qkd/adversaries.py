@@ -13,7 +13,7 @@ rounds, which the attacker cannot distinguish in time, can reveal her.
 
 from __future__ import annotations
 
-from .channel import ConfigError, Protocol, Strategy, _check_type, _Frozen
+from .channel import ConfigError, Protocol, Strategy, _check_type, _Frozen, _probability
 
 
 # Which attacks make sense against which protocol.  The transparent attacks
@@ -32,10 +32,8 @@ class AttackConfig(_Frozen):
     __slots__ = ("strategy", "q")
 
     def __init__(self, strategy: Strategy = Strategy.NONE, q: float = 1.0) -> None:
-        self._set(strategy, q)
         _check_type("strategy", strategy, Strategy)
-        if not 0.0 <= self.q <= 1.0:
-            raise ConfigError(f"q must be in [0, 1], got {self.q}")
+        self._set(strategy, _probability("q", q))
 
 
 def validate_attack(protocol: Protocol, attack: AttackConfig) -> None:

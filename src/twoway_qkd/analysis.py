@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .channel import ChannelConfig, ConfigError, Protocol
+from .channel import ChannelConfig, ConfigError, Protocol, _probability
 
 MAX_GRID_POINTS = 1_000_000
 
@@ -44,9 +44,7 @@ def bb84_secret_fraction(d: float) -> float:
 def twoway_mutual_information(q: float) -> tuple[float, float]:
     """(I_AB, I_AE) for a deterministic scheme under a transparent attack
     mounted on a fraction q of the rounds."""
-    if not 0.0 <= q <= 1.0:
-        raise ConfigError(f"q must be in [0, 1], got {q}")
-    return 1.0, q
+    return 1.0, _probability("q", q)
 
 
 def twoway_secret_fraction(q: float) -> float:

@@ -13,6 +13,7 @@ so do plain ``__slots__`` value bases: :mod:`dataclasses` costs 10 ms to import.
 
 from __future__ import annotations
 
+import numbers
 from enum import Enum
 
 
@@ -24,6 +25,21 @@ def _check_type(name: str, value: object, kind: type) -> None:
     """Reject a field of the wrong class when the config is built, not when it is read."""
     if not isinstance(value, kind):
         raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
+def _probability(name: str, value: object, ends: str = "[]") -> float:
+    """``value`` as a float in 0 to 1 with closed ``[]`` or open ``()`` ``ends``,
+    checked on the float stored; bools and non-reals are rejected."""
+    # float first: a float skips the ABC check, which costs about 0.5 us
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        p = float(value)
+    except OverflowError:  # a huge int or Fraction, out of range: shown as given
+        p = value
+    if not (0.0 < p < 1.0 or (p == 0.0 and ends[0] == "[") or (p == 1.0 and ends[1] == "]")):
+        raise ConfigError(f"{name} must be in {ends[0]}0, 1{ends[1]}, got {p}")
+    return p
 
 
 class _Value:
@@ -103,17 +119,9 @@ class ChannelConfig(_Frozen):
 
     def __init__(self, p_segment: float = 1.0, detector_efficiency: float = 1.0,
                  dark_count_prob: float = 0.0) -> None:
-        self._set(p_segment, detector_efficiency, dark_count_prob)
-        if not 0.0 < self.p_segment <= 1.0:
-            raise ConfigError(f"p_segment must be in (0, 1], got {self.p_segment}")
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise ConfigError(
-                f"detector_efficiency must be in (0, 1], got {self.detector_efficiency}"
-            )
-        if not 0.0 <= self.dark_count_prob < 1.0:
-            raise ConfigError(
-                f"dark_count_prob must be in [0, 1), got {self.dark_count_prob}"
-            )
+        self._set(_probability("p_segment", p_segment, "(]"),
+                  _probability("detector_efficiency", detector_efficiency, "(]"),
+                  _probability("dark_count_prob", dark_count_prob, "[)"))
 
     def transmittance(self, protocol: Protocol) -> float:
         """Probability that a round of the given protocol is detected."""

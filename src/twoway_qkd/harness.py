@@ -79,9 +79,8 @@ from itertools import repeat
 
 from .adversaries import AttackConfig, validate_attack
 from .analysis import binary_entropy
-from .channel import (
-    ChannelConfig, ConfigError, Protocol, Strategy, _check_type, _Frozen, _Value,
-)
+from .channel import (ChannelConfig, ConfigError, Protocol, Strategy, _check_type, _Frozen,
+                      _probability, _Value)
 
 # Rounds per chunk, one bit each in the kernel's ints.  Larger chunks spread
 # each chunk's seeding and threshold walks over more rounds.
@@ -202,7 +201,7 @@ def _below(rng: random.Random, n: int, p: float) -> int:
     lanes = (1 << n) - 1
     if p >= 1.0:
         return lanes
-    num, den = float(p).as_integer_ratio()
+    num, den = p.as_integer_ratio()
     below, undecided = 0, lanes
     for digit in range(den.bit_length() - 2, -1, -1):
         word = rng.getrandbits(n)
@@ -364,8 +363,7 @@ class SimConfig(_Frozen):
             raise ConfigError(f"rounds must be positive, got {self.rounds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.cm_prob <= 1.0:
-            raise ConfigError(f"cm_prob must be in [0, 1], got {self.cm_prob}")
+        object.__setattr__(self, "cm_prob", _probability("cm_prob", cm_prob))
         if self.protocol is Protocol.BB84 and self.cm_prob != 0.0:
             raise ConfigError(
                 "the prepare-and-measure protocol has no control mode; "

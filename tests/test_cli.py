@@ -26,6 +26,7 @@ from twoway_qkd.cli import _BLOCK_ROWS, _emit, build_parser, main
 from twoway_qkd.harness import CHUNK_ROUNDS, POOL_MIN_CHUNKS
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +252,13 @@ class TestUsageErrors:
         (workers,) = [a for a in simulate._actions if "--workers" in a.option_strings]
         assert f"per {POOL_MIN_CHUNKS} chunks" in workers.help
         assert f"fewer than {2 * POOL_MIN_CHUNKS} chunks" in workers.help
+
+    def test_readme_states_the_pool_policy(self):
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        assert f"at least {POOL_MIN_CHUNKS} chunks of {CHUNK_ROUNDS} rounds" in text
+        pooled = 2 * POOL_MIN_CHUNKS
+        assert f"fewer than {pooled} chunks ({pooled * CHUNK_ROUNDS:,} rounds)" in text
+        assert f"one per {POOL_MIN_CHUNKS} chunks (`harness.POOL_MIN_CHUNKS`)" in text
 
 
 class TestAnalyze:

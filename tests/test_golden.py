@@ -4,18 +4,24 @@ Each recorded command runs through ``cli.main`` in this process and must
 exit 0 with nothing on stderr.  ``simulate.txt`` holds each ``simulate``
 command's full text after its ``$ twoway-qkd ...`` line; ``documents.txt``
 holds the SHA-256 and length of the larger ``analyze`` and ``table``
-documents.  A mismatch names the first differing command, and for full text
-the first differing line.  ``python tools/golden.py --write`` regenerates
-the files; a change that does so says why in CHANGES.md.
+documents.  ``reference.txt`` holds the counters of the reference model,
+``protocols.ROUND_FUNCTIONS``, each case replayed here round by round.  A
+mismatch names the first differing command or case, and for full text the
+first differing line.  ``python tools/golden.py --write`` regenerates the
+files; a change that does so says why in CHANGES.md.
 """
 
 import contextlib
 import hashlib
 import io
+import random
 import shlex
 from pathlib import Path
 
+from twoway_qkd.channel import ChannelConfig, Protocol, Strategy
 from twoway_qkd.cli import main
+from twoway_qkd.harness import Tally
+from twoway_qkd.protocols import ROUND_FUNCTIONS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PROMPT = "$ twoway-qkd "
@@ -72,3 +78,25 @@ def test_documents_length_and_digest():
             f"twoway-qkd {command}: {len(data)} bytes, expected {size} "
             "with the recorded digest"
         )
+
+
+def reference_counters(case: dict[str, str]) -> dict[str, str]:
+    protocol = Protocol(case["protocol"])
+    channel = ChannelConfig(p_segment=float(case["p_segment"]),
+                            dark_count_prob=float(case["dark_count_prob"]))
+    args = (Strategy(case["attack"]), float(case["q"]), float(case["cm_prob"]),
+            channel.transmittance(protocol), channel.dark_count_prob)
+    tally, rng, round_fn = Tally(), random.Random(int(case["seed"])), ROUND_FUNCTIONS[protocol]
+    for _ in range(int(case["rounds"])):
+        round_fn(tally, rng, *args)
+    return {name: str(getattr(tally, name)) for name in Tally.__slots__}
+
+
+def test_reference_model_counters():
+    lines = golden_lines("reference.txt")
+    assert len(lines) == 48
+    for line in lines:
+        case, counters = (dict(field.split("=") for field in side.split())
+                          for side in line.split(" -> "))
+        actual = reference_counters(case)
+        assert actual == counters, f"reference model, {line.split(' -> ')[0]}: got {actual}"

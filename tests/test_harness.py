@@ -9,6 +9,7 @@ import sys
 import textwrap
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -404,6 +405,12 @@ class TestRunStatistics:
             )
             sigma = (t * (1 - t) / n) ** 0.5
             assert abs(stats.yield_fraction - t) < 3 * sigma
+
+    def test_q_that_rounds_to_one_plays_every_round_attacked(self):
+        q = Fraction(2**60 - 1, 2**60)  # below 1, but 1.0 as a float
+        config = pp_config(rounds=20000, q=q, p=1.0)
+        assert run(config).eve_rounds == 20000
+        assert config.attack.q == 1.0
 
     def test_eve_share_tracks_q(self):
         n = 30000

@@ -1,5 +1,6 @@
 """Property tests: counter algebra, the chunk plan, threshold rows, config
-validation over non-finite and boundary floats, grid endpoint snapping, the
+validation over non-finite and boundary floats, the one contract of every
+probability field over values of any type, grid endpoint snapping, the
 command line's output contract over edge-case and random argv, and the
 output documents' bytes against ``json.dumps(indent=2)`` and a plain CSV
 writer."""
@@ -11,6 +12,7 @@ import math
 import os
 import re
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -31,9 +33,13 @@ from support import (  # noqa: E402
 
 from twoway_qkd import cli  # noqa: E402
 from twoway_qkd.adversaries import AttackConfig  # noqa: E402
-from twoway_qkd.analysis import MAX_GRID_POINTS, disturbance_grid  # noqa: E402
+from twoway_qkd.analysis import (  # noqa: E402
+    MAX_GRID_POINTS,
+    disturbance_grid,
+    twoway_mutual_information,
+)
 from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol, Strategy  # noqa: E402
-from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig, Tally, _below  # noqa: E402
+from twoway_qkd.harness import CHUNK_ROUNDS, SimConfig, Tally, _below, run  # noqa: E402
 
 # Few examples per property keeps the whole suite well inside its time budget.
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -168,6 +174,76 @@ class TestConfigValidation:
         else:
             with pytest.raises(ConfigError):
                 SimConfig(protocol=Protocol.PP, rounds=rounds)
+
+
+def _pp_nguyen(q=0.5, cm_prob=0.25, **channel) -> SimConfig:
+    """A 64-round ``pp``/``nguyen`` config, lossy with dark counts unless
+    ``channel`` replaces them."""
+    channel = {"p_segment": 0.9, "dark_count_prob": 0.1, **channel}
+    return SimConfig(Protocol.PP, 64, seed=5, attack=AttackConfig(Strategy.NGUYEN, q=q),
+                     cm_prob=cm_prob, channel=ChannelConfig(**channel))
+
+
+PROBABILITY_FIELDS = ["p_segment", "detector_efficiency", "dark_count_prob", "q", "cm_prob"]
+
+# Values of every kind a caller might pass as a probability.
+any_probability = st.one_of(
+    floats,
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.decimals(),
+    st.fractions(),
+    # within 2**-60 of an end, so most round onto it as floats
+    st.builds(lambda end, k: end + Fraction(k, 2**62), st.sampled_from([0, 1]),
+              st.integers(min_value=-4, max_value=4)),
+    st.floats(width=32).map(np.float32),
+    floats.map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.sampled_from([0, 1, -1, 2, 10**400, -(10**400)]),
+    st.integers(min_value=-(10**400), max_value=10**400),
+)
+
+
+class TestProbabilityFields:
+    """Every probability field either raises ``ConfigError`` or stores
+    ``float(value)``, and then plays and dumps as that float does."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.sampled_from(PROBABILITY_FIELDS), any_probability)
+    @example("q", Fraction(2**60 - 1, 2**60))
+    @example("dark_count_prob", Fraction(2**60 - 1, 2**60))
+    @example("cm_prob", True)
+    @example("q", Decimal("0.5"))
+    @example("p_segment", "0.25")
+    @example("detector_efficiency", None)
+    @example("q", 10**400)
+    def test_config_stores_the_float_or_raises(self, field, value):
+        try:
+            config = _pp_nguyen(**{field: value})
+        except ConfigError:
+            event("rejected")
+            return
+        expected = _pp_nguyen(**{field: float(value)})
+        assert config == expected
+        document = config.as_dict()
+        assert type(document[field]) is float
+        json.dumps(document, allow_nan=False)
+        assert run(config) == run(expected)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(any_probability)
+    @example(Fraction(1, 3))
+    @example(True)
+    def test_twoway_mutual_information_returns_the_float_or_raises(self, value):
+        try:
+            result = twoway_mutual_information(value)
+        except ConfigError:
+            return
+        assert result == twoway_mutual_information(float(value))
+        assert type(result[1]) is float
+        json.dumps(result, allow_nan=False)
 
 
 class TestGridSnapping:

@@ -34,11 +34,8 @@ path; each ``simulate`` command at ``--workers 2``, so that pooled runs
 start and shut down their pools between runs played in-process; and every
 ``analyze`` and ``table`` command.  Each exit code, stdout and stderr must
 match that tree's per-process output, and the interpreter must exit 0 with
-nothing else on stderr.  Last, each tree plays its reference model,
-``protocols.ROUND_FUNCTIONS``, in-process on the six pairings, the four
-channels and q in {0.4, 1} at a fixed seed, and the tallies must match.
-Exits 0 if everything matches, 1 naming the first command or reference case
-that differs, and 2 if REF cannot be unpacked.
+nothing else on stderr.  Exits 0 if everything matches, 1 naming the first
+command that differs, and 2 if REF cannot be unpacked.
 
 A change that alters the engine's random stream on purpose changes every
 ``simulate`` command's statistics (the JSON ``stats`` object, the CSV data
@@ -161,35 +158,6 @@ json.dump(results, sys.stdout)
 """
 
 
-REFERENCE = """
-import json, random, sys
-from twoway_qkd.channel import ChannelConfig, Protocol, Strategy
-from twoway_qkd.protocols import ROUND_FUNCTIONS, Tally
-
-results = []
-for protocol, attack, q, p_segment, dark, rounds, seed in json.load(sys.stdin):
-    protocol = Protocol(protocol)
-    channel = ChannelConfig(p_segment=float(p_segment), dark_count_prob=float(dark))
-    cm_prob = 0.0 if protocol is Protocol.BB84 else 0.3
-    args = (Strategy(attack), float(q), cm_prob, channel.transmittance(protocol),
-            channel.dark_count_prob)
-    tally, rng, round_fn = Tally(), random.Random(seed), ROUND_FUNCTIONS[protocol]
-    for _ in range(rounds):
-        round_fn(tally, rng, *args)
-    results.append(tally.as_dict())
-json.dump(results, sys.stdout)
-"""
-
-
-def reference_cases() -> list[tuple]:
-    """(protocol, attack, q, p_segment, dark, rounds, seed) for the
-    reference-model pass."""
-    return [(protocol, attack, q, p, dark, 20000, 11)
-            for protocol, attack in PAIRINGS
-            for q in ("0.4", "1")
-            for p, dark in CHANNELS]
-
-
 def in_process_cases(commands, groups, errors) -> list[tuple[list[str], list[str]]]:
     """(command run in-process, per-process command whose output it must
     equal): each ``simulate`` command at ``--workers 2``, every other command
@@ -201,13 +169,12 @@ def in_process_cases(commands, groups, errors) -> list[tuple[list[str], list[str
     return [case for pair in zip(exits, cases) for case in pair] + cases[len(exits):]
 
 
-def in_process(tree: Path, inputs, script: str = IN_PROCESS) -> list | str:
-    """What ``script`` prints for ``inputs`` in ``tree`` (by default, the
-    outputs of commands run in turn through one interpreter's ``cli.main``),
-    or what went wrong with that interpreter."""
+def in_process(tree: Path, commands) -> list | str:
+    """The outputs of ``commands`` run in turn through one interpreter's
+    ``cli.main`` in ``tree``, or what went wrong with that interpreter."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    result = subprocess.run([sys.executable, "-c", script], cwd=tree, env=env,
-                            input=json.dumps(inputs), capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", IN_PROCESS], cwd=tree, env=env,
+                            input=json.dumps(commands), capture_output=True, text=True)
     if result.returncode != 0 or result.stderr:
         return f"exit {result.returncode}, stderr {result.stderr[-2000:]!r}"
     return json.loads(result.stdout)
@@ -243,7 +210,6 @@ def main(argv: list[str] | None = None) -> int:
                 + [command for command, _ in errors])
     inline = in_process_cases(simple, groups, errors)
     inline_commands = [command for command, _ in inline]
-    reference = reference_cases()
     with tempfile.TemporaryDirectory() as tmp:
         try:
             unpack(args.ref, Path(tmp))
@@ -253,10 +219,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         ref_out = outputs(Path(tmp), commands)
         ref_inline = in_process(Path(tmp), inline_commands)
-        ref_tallies = in_process(Path(tmp), reference, REFERENCE)
     new_out = outputs(ROOT, commands)
     new_inline = in_process(ROOT, inline_commands)
-    new_tallies = in_process(ROOT, reference, REFERENCE)
 
     stats_differ = 0
     for command, old, new in zip(commands, ref_out, new_out):
@@ -287,16 +251,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"in-process run differs from its own process in {tree}: "
                       f"twoway-qkd {' '.join(command)}")
                 return 1
-    for tree, tallies in ((args.ref, ref_tallies), ("the working tree", new_tallies)):
-        if isinstance(tallies, str):
-            print(f"reference pass failed in {tree}: {tallies}")
-            return 1
-    for case, old, new in zip(reference, ref_tallies, new_tallies):
-        if old != new:
-            print(f"reference model differs from {args.ref}: "
-                  "protocol={} attack={} q={} p_segment={} dark={} rounds={} seed={}"
-                  .format(*case))
-            return 1
     size = sum(len(out) + len(err) for _, out, err in new_out)
     failed = sum(code != 0 for code, _, _ in new_out)
     identical = (f"{len(commands)} commands byte-identical to {args.ref}"
@@ -305,8 +259,7 @@ def main(argv: list[str] | None = None) -> int:
                  f"statistics of {stats_differ} simulate commands")
     print(f"{identical} ({size:,} bytes of output, {failed} nonzero exits); "
           f"{len(inline)} commands in one interpreter byte-identical to their "
-          f"own processes in both trees; "
-          f"{len(reference)} reference-model tallies identical")
+          f"own processes in both trees")
     return 1 if stats_differ else 0
 
 

@@ -4,7 +4,7 @@ Usage: python tools/golden.py [--write]
 
 ``tests/test_golden.py`` runs every command recorded here through
 ``cli.main`` in-process and compares what it prints with two files under
-``tests/golden/``:
+``tests/golden/``, and replays the reference model against a third:
 
 * ``simulate.txt`` holds the full text of ``simulate`` for the six
   protocol/attack pairings, lossless at q 1 and at ``--p-segment 0.9``,
@@ -15,6 +15,10 @@ Usage: python tools/golden.py [--write]
 * ``documents.txt`` holds the SHA-256 and length in bytes of the default
   ``analyze``, the 50,001-row ``analyze --d-grid 0:0.5:0.00001`` and
   ``table --p-segment 0.37``, in both formats, one command per line.
+* ``reference.txt`` holds the counters of the reference model,
+  ``protocols.ROUND_FUNCTIONS``, over 48 cases: the six pairings, four
+  channels and q 0.4 and 1, at 2000 rounds, seed 11 and ``cm_prob`` 0.3
+  on the two-way protocols, one case and its counters per line.
 
 With ``--write`` the files are regenerated from the working tree; without
 it, the tool names each file that would change and exits 1 if any would.
@@ -27,6 +31,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 import shlex
 import sys
 from pathlib import Path
@@ -35,8 +40,10 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 sys.path.insert(0, str(ROOT / "src"))
 
+from twoway_qkd.channel import ChannelConfig, Protocol, Strategy
 from twoway_qkd.cli import main as cli_main
-from twoway_qkd.harness import CHUNK_ROUNDS
+from twoway_qkd.harness import CHUNK_ROUNDS, Tally
+from twoway_qkd.protocols import ROUND_FUNCTIONS
 
 PROMPT = "$ twoway-qkd "
 PAIRINGS = [
@@ -51,6 +58,8 @@ ATTACKED = [pairing for pairing in PAIRINGS if pairing[1] != "none"]
 LOSSLESS = ["--q", "1"]
 LOSSY = ["--q", "0.4", "--p-segment", "0.9", "--dark-count-prob", "1e-3"]
 FORMATS = ("csv", "json")
+# (p_segment, dark_count_prob) of the reference cases
+CHANNELS = [("1", "0"), ("0.8", "0"), ("0.7", "0.05"), ("0.3", "0.6")]
 
 
 def simulate(protocol: str, attack: str, rounds: int, *options: str) -> list[str]:
@@ -76,6 +85,32 @@ def digest_commands() -> list[list[str]]:
             for fmt in FORMATS]
 
 
+def reference_cases() -> list[dict[str, str]]:
+    return [{"protocol": protocol, "attack": attack, "q": q, "p_segment": p,
+             "dark_count_prob": dark, "cm_prob": "0" if protocol == "bb84" else "0.3",
+             "rounds": "2000", "seed": "11"}
+            for protocol, attack in PAIRINGS
+            for q in ("0.4", "1")
+            for p, dark in CHANNELS]
+
+
+def reference_counters(case: dict[str, str]) -> dict[str, int]:
+    """The reference model's counters for one case, played round by round."""
+    protocol = Protocol(case["protocol"])
+    channel = ChannelConfig(p_segment=float(case["p_segment"]),
+                            dark_count_prob=float(case["dark_count_prob"]))
+    args = (Strategy(case["attack"]), float(case["q"]), float(case["cm_prob"]),
+            channel.transmittance(protocol), channel.dark_count_prob)
+    tally, rng, round_fn = Tally(), random.Random(int(case["seed"])), ROUND_FUNCTIONS[protocol]
+    for _ in range(int(case["rounds"])):
+        round_fn(tally, rng, *args)
+    return {name: getattr(tally, name) for name in Tally.__slots__}
+
+
+def fields(values: dict) -> str:
+    return " ".join(f"{name}={value}" for name, value in values.items())
+
+
 def run(argv: list[str]) -> str:
     """What ``twoway-qkd argv`` prints, run in this process; it must succeed."""
     out, err = io.StringIO(), io.StringIO()
@@ -98,6 +133,9 @@ def render() -> dict[str, str]:
                                 for argv in full_text_commands()),
         "documents.txt": "".join(f"{digest(run(argv))} {shlex.join(argv)}\n"
                                  for argv in digest_commands()),
+        "reference.txt": "".join(
+            f"{fields(case)} -> {fields(reference_counters(case))}\n"
+            for case in reference_cases()),
     }
 
 
