@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .channel import ChannelConfig, ConfigError, Protocol, _probability
+from .channel import ChannelConfig, ConfigError, Protocol, _probability, _shown
 
 MAX_GRID_POINTS = 1_000_000
 
@@ -21,7 +21,7 @@ MAX_GRID_POINTS = 1_000_000
 def binary_entropy(x: float) -> float:
     """Shannon entropy h(x) of a Bernoulli(x) variable, in bits."""
     if not 0.0 <= x <= 1.0:
-        raise ConfigError(f"binary_entropy argument must be in [0, 1], got {x}")
+        raise ConfigError(f"binary_entropy argument must be in [0, 1], got {_shown(x, str)}")
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -30,7 +30,7 @@ def binary_entropy(x: float) -> float:
 def bb84_mutual_information(d: float) -> tuple[float, float]:
     """(I_AB, I_AE) per sifted bit at disturbance d, for d in [0, 1/2]."""
     if not 0.0 <= d <= 0.5:
-        raise ConfigError(f"disturbance must be in [0, 0.5], got {d}")
+        raise ConfigError(f"disturbance must be in [0, 0.5], got {_shown(d, str)}")
     h = binary_entropy(d)
     return 1.0 - h, h
 

@@ -21,10 +21,19 @@ class ConfigError(ValueError):
     """A configuration value is outside its allowed range or of the wrong kind."""
 
 
+def _shown(value: object, form=repr) -> str:
+    """``form(value)`` for a message, or the value's type and size if it is too long to print."""
+    try:
+        return form(value)
+    except ValueError:  # an int, or a Fraction of one, past sys.get_int_max_str_digits()
+        size = f"of {value.bit_length()} bits" if isinstance(value, int) else "too long to print"
+        return f"<{type(value).__name__} {size}>"
+
+
 def _check_type(name: str, value: object, kind: type) -> None:
     """Reject a field of the wrong class when the config is built, not when it is read."""
     if not isinstance(value, kind):
-        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {_shown(value)}")
 
 
 def _probability(name: str, value: object, ends: str = "[]") -> float:
@@ -32,13 +41,13 @@ def _probability(name: str, value: object, ends: str = "[]") -> float:
     checked on the float stored; bools and non-reals are rejected."""
     # float first: a float skips the ABC check, which costs about 0.5 us
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+        raise ConfigError(f"{name} must be a real number, got {_shown(value)}")
     try:
         p = float(value)
     except OverflowError:  # a huge int or Fraction, out of range: shown as given
         p = value
     if not (0.0 < p < 1.0 or (p == 0.0 and ends[0] == "[") or (p == 1.0 and ends[1] == "]")):
-        raise ConfigError(f"{name} must be in {ends[0]}0, 1{ends[1]}, got {p}")
+        raise ConfigError(f"{name} must be in {ends[0]}0, 1{ends[1]}, got {_shown(p, str)}")
     return p
 
 

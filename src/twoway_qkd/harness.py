@@ -80,7 +80,7 @@ from itertools import repeat
 from .adversaries import AttackConfig, validate_attack
 from .analysis import binary_entropy
 from .channel import (ChannelConfig, ConfigError, Protocol, Strategy, _check_type, _Frozen,
-                      _probability, _Value)
+                      _probability, _shown, _Value)
 
 # Rounds per chunk, one bit each in the kernel's ints.  Larger chunks spread
 # each chunk's seeding and threshold walks over more rounds.
@@ -357,8 +357,13 @@ class SimConfig(_Frozen):
         for name in ("rounds", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy ints -> JSON-safe
+                raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
+            value = int(value)  # numpy ints -> JSON-safe
+            try:
+                str(value)  # as the chunk seeds and the output metadata print it
+            except ValueError:
+                raise ConfigError(f"{name} is too long to print, got {_shown(value)}") from None
+            object.__setattr__(self, name, value)
         if self.rounds < 1:
             raise ConfigError(f"rounds must be positive, got {self.rounds}")
         if self.seed < 0:
@@ -443,7 +448,7 @@ def run(config: SimConfig, workers: int = 1) -> RunStats:
     ``config.rounds``.
     """
     if not isinstance(workers, numbers.Integral) or isinstance(workers, bool) or workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+        raise ConfigError(f"workers must be a positive integer, got {_shown(workers)}")
     n = -(-config.rounds // CHUNK_ROUNDS)
     workers = _pool_size(int(workers), n)
     if workers == 1:

@@ -227,8 +227,12 @@ class TestProtocolComparison:
         lambda: disturbance_grid(0.0, 0.5, 0.0),
         lambda: disturbance_grid(0.4, 0.1, 0.1),
         lambda: disturbance_grid(0.0, float(MAX_GRID_POINTS), 1.0),
+        # too long to print in the message: past sys.get_int_max_str_digits()
+        lambda: binary_entropy(10**5000),
+        lambda: bb84_mutual_information(-(10**5000)),
     ],
-    ids=["entropy", "bb84", "twoway", "non-finite", "zero-step", "end-before-start", "too-many"],
+    ids=["entropy", "bb84", "twoway", "non-finite", "zero-step", "end-before-start", "too-many",
+         "entropy-huge", "bb84-huge"],
 )
 def test_every_rejected_value_raises_config_error(reject):
     # One exception type for every rejected value, still a ValueError, so

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from support import assert_same_text, reference_document
+from test_golden import GOLDEN, PROMPT, digest
 from twoway_qkd import __version__, cli
 from twoway_qkd.analysis import (
     critical_disturbance,
@@ -389,14 +391,23 @@ class TestEmitMemory:
 
 class TestEntrypoints:
     def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "twoway_qkd", "simulate",
-             "--protocol", "pp", "--rounds", "256", "--seed", "1"],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0
-        assert json.loads(result.stdout)["stats"]["rounds"] == 256
+        """A CSV ``simulate`` and a JSON ``analyze`` of the golden record print
+        what it holds when run as ``python -m twoway_qkd``, each in its own process."""
+        sections = (GOLDEN / "simulate.txt").read_text(encoding="utf-8").split(PROMPT)
+        simulate, _, text = next(section.partition("\n") for section in sections
+                                 if section.startswith("simulate --protocol pp --attack nguyen")
+                                 and "--format csv\n" in section)
+        line = (GOLDEN / "documents.txt").read_text(encoding="utf-8").splitlines()[1]
+        sha256, size, analyze = line.split(" ", 2)
+        assert analyze == "analyze --format json"
+        stdout = []
+        for command in (simulate, analyze):
+            result = subprocess.run([sys.executable, "-m", "twoway_qkd", *shlex.split(command)],
+                                    capture_output=True)
+            assert (result.returncode, result.stderr) == (0, b""), command
+            stdout.append(result.stdout)
+        assert stdout[0] == text.encode("utf-8")
+        assert digest(stdout[1]) == f"{sha256} {size}"
 
     @pytest.mark.parametrize(
         "argv",

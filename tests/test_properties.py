@@ -1,9 +1,9 @@
 """Property tests: counter algebra, the chunk plan, threshold rows, config
 validation over non-finite and boundary floats, the one contract of every
-probability field over values of any type, grid endpoint snapping, the
-command line's output contract over edge-case and random argv, and the
-output documents' bytes against ``json.dumps(indent=2)`` and a plain CSV
-writer."""
+probability field and every other config field over values of any type,
+grid endpoint snapping, the command line's output contract over edge-case
+and random argv, and the output documents' bytes against
+``json.dumps(indent=2)`` and a plain CSV writer."""
 
 import contextlib
 import io
@@ -186,14 +186,34 @@ def _pp_nguyen(q=0.5, cm_prob=0.25, **channel) -> SimConfig:
 
 PROBABILITY_FIELDS = ["p_segment", "detector_efficiency", "dark_count_prob", "q", "cm_prob"]
 
-# Values of every kind a caller might pass as a probability.
-any_probability = st.one_of(
+# Too long to print: past sys.get_int_max_str_digits(), 4300 digits by default.
+HUGE = 10**5000
+
+
+class PrintableFraction(Fraction):
+    """A Fraction whose repr hypothesis can print when its str cannot be."""
+
+    def __repr__(self):
+        return f"Fraction({self.numerator:#x}, {self.denominator:#x})"
+
+
+HUGE_FRACTION = PrintableFraction(HUGE, 3)
+huge = st.sampled_from([HUGE, -HUGE, HUGE_FRACTION])
+
+# Values of every kind a caller might pass, whatever the field.
+any_kind = st.one_of(
     floats,
     st.booleans(),
     st.text(max_size=4),
     st.none(),
     st.decimals(),
     st.fractions(),
+    huge,
+)
+
+# Values of every kind a caller might pass as a probability.
+any_probability = st.one_of(
+    any_kind,
     # within 2**-60 of an end, so most round onto it as floats
     st.builds(lambda end, k: end + Fraction(k, 2**62), st.sampled_from([0, 1]),
               st.integers(min_value=-4, max_value=4)),
@@ -219,6 +239,9 @@ class TestProbabilityFields:
     @example("p_segment", "0.25")
     @example("detector_efficiency", None)
     @example("q", 10**400)
+    @example("q", HUGE)
+    @example("p_segment", -HUGE)
+    @example("cm_prob", HUGE_FRACTION)
     def test_config_stores_the_float_or_raises(self, field, value):
         try:
             config = _pp_nguyen(**{field: value})
@@ -236,6 +259,9 @@ class TestProbabilityFields:
     @given(any_probability)
     @example(Fraction(1, 3))
     @example(True)
+    @example(HUGE)
+    @example(-HUGE)
+    @example(HUGE_FRACTION)
     def test_twoway_mutual_information_returns_the_float_or_raises(self, value):
         try:
             result = twoway_mutual_information(value)
@@ -244,6 +270,49 @@ class TestProbabilityFields:
         assert result == twoway_mutual_information(float(value))
         assert type(result[1]) is float
         json.dumps(result, allow_nan=False)
+
+
+CONFIG_FIELDS = ["rounds", "seed", "workers", "protocol", "strategy", "attack", "channel"]
+
+# Every field's values: ints small enough to run, enum members and configs,
+# and values of every other kind.
+any_field_value = st.one_of(
+    any_kind,
+    st.integers(min_value=-64, max_value=64),
+    st.integers(min_value=-64, max_value=64).map(np.int64),
+    st.sampled_from([*Protocol, *Strategy, AttackConfig(), ChannelConfig(p_segment=0.9)]),
+)
+
+
+class TestConfigFields:
+    """Every other field of a run either raises ``ConfigError`` or builds a
+    config that runs and dumps as JSON."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.sampled_from(CONFIG_FIELDS), any_field_value)
+    @example("seed", HUGE)
+    @example("seed", -HUGE)
+    @example("rounds", HUGE)
+    @example("rounds", -HUGE)
+    @example("workers", -HUGE)
+    @example("workers", HUGE)
+    @example("protocol", HUGE)
+    @example("attack", HUGE)
+    @example("strategy", HUGE_FRACTION)
+    def test_field_raises_or_runs_and_dumps(self, field, value):
+        fields = {"protocol": Protocol.PP, "rounds": 64, "seed": 5, "workers": 1,
+                  "strategy": Strategy.NGUYEN, "channel": ChannelConfig(p_segment=0.9),
+                  field: value}
+        try:
+            attack = value if field == "attack" else AttackConfig(fields["strategy"], q=0.5)
+            config = SimConfig(fields["protocol"], fields["rounds"], seed=fields["seed"],
+                               attack=attack, cm_prob=0.25, channel=fields["channel"])
+            json.dumps(config.as_dict(), allow_nan=False)  # first, as a run plays every round
+            stats = run(config, workers=fields["workers"])
+        except ConfigError:
+            event("rejected")
+            return
+        json.dumps(stats.as_dict(), allow_nan=False)
 
 
 class TestGridSnapping:
