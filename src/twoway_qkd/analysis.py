@@ -12,6 +12,7 @@ and the attacker simply owns a q-fraction of the key: I_AE = q.
 from __future__ import annotations
 
 import math
+import sys
 
 from .channel import ChannelConfig, ConfigError, Protocol, _probability, _shown
 
@@ -22,23 +23,18 @@ def binary_entropy(x: float) -> float:
     """Shannon entropy h(x) of a Bernoulli(x) variable, in bits."""
     if not 0.0 <= x <= 1.0:
         raise ConfigError(f"binary_entropy argument must be in [0, 1], got {_shown(x, str)}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return _information(x)[2]  # I_AE = h(x)
 
 
 def bb84_mutual_information(d: float) -> tuple[float, float]:
     """(I_AB, I_AE) per sifted bit at disturbance d, for d in [0, 1/2]."""
-    if not 0.0 <= d <= 0.5:
-        raise ConfigError(f"disturbance must be in [0, 0.5], got {_shown(d, str)}")
-    h = binary_entropy(d)
-    return 1.0 - h, h
+    _, i_ab, i_ae, _ = _information(checked_disturbances([d])[0])
+    return i_ab, i_ae
 
 
 def bb84_secret_fraction(d: float) -> float:
     """I_AB - I_AE = 1 - 2 h(d).  Negative past the critical disturbance."""
-    i_ab, i_ae = bb84_mutual_information(d)
-    return i_ab - i_ae
+    return _information(checked_disturbances([d])[0])[3]
 
 
 def twoway_mutual_information(q: float) -> tuple[float, float]:
@@ -82,8 +78,10 @@ def disturbance_grid(start: float, end: float, step: float) -> list[float]:
     leaves [start, end].  Non-finite arguments and grids of more than
     ``MAX_GRID_POINTS`` points are rejected.
     """
-    if not all(math.isfinite(v) for v in (start, end, step)):
-        raise ConfigError(f"grid values must be finite, got {start}:{end}:{step}")
+    # Finite as floats: NaN, +-inf and an int past the float range fail.
+    if not all(abs(v) <= sys.float_info.max for v in (start, end, step)):
+        shown = ":".join(_shown(v, str) for v in (start, end, step))
+        raise ConfigError(f"grid values must be finite, got {shown}")
     if step <= 0.0:
         raise ConfigError(f"grid step must be positive, got {step}")
     if end < start:
@@ -101,20 +99,38 @@ def disturbance_grid(start: float, end: float, step: float) -> list[float]:
     return grid
 
 
+INFORMATION_COLUMNS = ("d", "i_ab", "i_ae", "secret_fraction")
+
+
+def checked_disturbances(grid: list[float]) -> list[float]:
+    """``grid``, once every point is a disturbance in [0, 1/2]; otherwise a
+    ConfigError names the first point that is not."""
+    for d in grid:
+        if not 0.0 <= d <= 0.5:
+            raise ConfigError(f"disturbance must be in [0, 0.5], got {_shown(d, str)}")
+    return grid
+
+
+def information_rows(grid: list[float]) -> list[tuple[float, float, float, float]]:
+    """The values of ``INFORMATION_COLUMNS`` at each point of a grid that
+    ``checked_disturbances`` passed."""
+    return list(map(_information, grid))
+
+
+def _information(d: float) -> tuple[float, float, float, float]:
+    """d, I_AB = 1 - h(d), I_AE = h(d) and the secret fraction I_AB - I_AE,
+    for a d already known to lie in [0, 1]: the one formula for h."""
+    h = 0.0 if d == 0.0 or d == 1.0 else -d * math.log2(d) - (1.0 - d) * math.log2(1.0 - d)
+    return d, 1.0 - h, h, 1.0 - h - h
+
+
 def information_table(grid: list[float]) -> list[dict[str, float]]:
     """Rows of closed-form quantities over a disturbance grid."""
-    rows = []
-    for d in grid:
-        i_ab, i_ae = bb84_mutual_information(d)
-        rows.append(
-            {
-                "d": d,
-                "i_ab": i_ab,
-                "i_ae": i_ae,
-                "secret_fraction": i_ab - i_ae,
-            }
-        )
-    return rows
+    d_, i_ab_, i_ae_, secret_fraction_ = INFORMATION_COLUMNS
+    return [
+        {d_: d, i_ab_: i_ab, i_ae_: i_ae, secret_fraction_: secret_fraction}
+        for d, i_ab, i_ae, secret_fraction in map(_information, checked_disturbances(grid))
+    ]
 
 
 def protocol_comparison(p_segment: float = 1.0) -> list[dict[str, object]]:

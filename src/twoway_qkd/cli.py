@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Iterable, Iterator
 from functools import cache
-from itertools import chain
+from itertools import chain, repeat
 
 from . import __version__
 from .analysis import (
+    INFORMATION_COLUMNS,
+    checked_disturbances,
     critical_disturbance,
     disturbance_grid,
-    information_table,
+    information_rows,
     protocol_comparison,
 )
 from .channel import ChannelConfig, ConfigError, Protocol, Strategy
@@ -124,7 +126,7 @@ def _output_args(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument("--output", default=None, metavar="PATH")
 
 
-_BLOCK_ROWS = 4096  # rows per filled template: the values held at once are one block's
+_BLOCK_ROWS = 4096  # rows per block: the values held at once are one block's
 
 
 def _csv_cells(values: Iterable[object]) -> list[object]:
@@ -132,23 +134,29 @@ def _csv_cells(values: Iterable[object]) -> list[object]:
     return ["indeterminable" if v is None else v for v in values]
 
 
-def _csv_document(meta: dict[str, object], rows: list[dict[str, object]]) -> list[str]:
+def _csv_document(
+    meta: dict[str, object], keys: Collection[str], blocks: Iterable[list]
+) -> Iterator[str]:
     lines = [f"# {key}={value}" for key, value in zip(meta, _csv_cells(meta.values()))]
-    if not rows:
-        return ["\n".join(lines) + "\n"]
-    head = "\n".join([*lines, ",".join(rows[0])]) + "\n"
-    return [head, *_fill(rows, ",".join(["%s"] * len(rows[0])), "\n", _csv_cells), "\n"]
+    header = "\n" * bool(lines) + ",".join(keys).replace("%", "%%") + "\n"
+    yield "\n".join(lines)
+    yield from _fill(blocks, ",".join(["%s"] * len(keys)), "\n", _csv_cells, header)
+    yield "\n"
 
 
-def _fill(rows: list[dict[str, object]], row: str, sep: str, texts: Callable) -> list[str]:
-    """``sep.join([row] * len(rows))`` with the rows' values, as ``texts`` turns
-    them, in its ``%s`` slots: one template and one fill per ``_BLOCK_ROWS`` rows."""
-    pieces = []
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        template = sep * bool(start) + sep.join([row] * len(block))
-        pieces.append(template % tuple(texts(chain.from_iterable(map(dict.values, block)))))
-    return pieces
+def _fill(
+    blocks: Iterable[list], row: str, sep: str, texts: Callable, lead: str = ""
+) -> Iterator[str]:
+    """Each block of rows as ``sep.join([row] * len(block))`` with the block's
+    values, as ``texts`` turns them, in its ``%s`` slots, after ``lead`` (a
+    template too) for the first block and ``sep`` for each later one.  A block
+    is let go as soon as it is filled."""
+
+    def fill(block: list, lead: str) -> str:
+        template = lead + sep.join([row] * len(block))
+        return template % tuple(texts(chain.from_iterable(block)))
+
+    return map(fill, blocks, chain([lead], repeat(sep)))
 
 
 def _json_block(brackets: str, items: list[str], depth: int) -> str:
@@ -160,19 +168,23 @@ def _json_block(brackets: str, items: list[str], depth: int) -> str:
 
 
 def _emit(
-    fmt: str, config: dict[str, object], key: str, body: object, **extra: object
-) -> list[str]:
-    """One output document, in pieces: ``body`` goes under ``key`` (``stats`` or ``rows``).
+    fmt: str, config: dict[str, object], key: str, keys: Collection[str],
+    blocks: Iterable[list], /, **extra: object,
+) -> Iterator[str]:
+    """One output document, in pieces made as they are read.
 
-    ``config`` is flat, ``extra`` holds scalars, and ``body`` is a flat object or
-    a list of flat objects with the first row's keys in the same order.  JSON
-    is ``json.dumps(payload, indent=2)``'s bytes: ``%s`` templates filled from
-    C-encoder calls, one for the config, extras and version and one per block
-    of rows; the encoder leaves no raw newline inside an encoded scalar.
+    The body goes under ``key``: one object under ``stats``, a list of
+    objects under ``rows``.  Its fields are ``keys``, and ``blocks`` holds its
+    rows, at most ``_BLOCK_ROWS`` per block, each row the values of ``keys``
+    in order; a ``stats`` body is one block of one row.  ``config`` is flat
+    and ``extra`` holds scalars.  JSON is ``json.dumps(payload, indent=2)``'s
+    bytes: ``%s`` templates filled from C-encoder calls, one for the config,
+    extras and version and one per block; the encoder leaves no raw newline
+    inside an encoded scalar.
     """
-    rows = [body] if isinstance(body, dict) else body
     if fmt == "csv":
-        return _csv_document({**config, **extra, "version": __version__}, rows)
+        yield from _csv_document({**config, **extra, "version": __version__}, keys, blocks)
+        return
     import json  # only here: CSV output and --version never load it
     quote = json.encoder.encode_basestring_ascii  # what json.dumps does to a str
 
@@ -184,18 +196,24 @@ def _emit(
         text = json.dumps(list(values), separators=("\n", ":"))[1:-1]
         return text.split("\n") if text else []
 
-    listed = rows is body  # a list of rows, not one object
+    listed = key == "rows"
+    rows = _fill(blocks, obj(dict.fromkeys(keys, "%s"), 1 + listed), ",\n    ", encode)
+    first = next(rows, None)
     slot = "\0"  # marks where the rows go: every key and string escapes a NUL
-    row = obj(dict.fromkeys(rows[0] if rows else (), "%s"), 1 + listed)
     fields = {"config": obj(dict.fromkeys(config, "%s"), 1), **dict.fromkeys(extra, "%s")}
-    fields[key] = _json_block("[]", [slot] if rows else [], 1) if listed else slot
+    fields[key] = _json_block("[]", [slot] * (first is not None), 1) if listed else slot
     template = obj({**fields, "version": "%s"}, 0) + "\n"
     filled = template % tuple(encode([*config.values(), *extra.values(), __version__]))
     head, _, tail = filled.partition(slot)
-    return [head, *_fill(rows, row, ",\n    ", encode), tail]
+    yield head
+    if first is not None:
+        yield first
+        del first
+        yield from rows
+    yield tail
 
 
-def _cmd_simulate(args: argparse.Namespace) -> list[str]:
+def _cmd_simulate(args: argparse.Namespace) -> Iterator[str]:
     # Imported here so that --version, table and analyze skip it (2.4 ms on 2 CPUs).
     from . import harness
     from .adversaries import AttackConfig
@@ -212,25 +230,28 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
             dark_count_prob=args.dark_count_prob,
         ),
     )
-    stats = harness.run(config, workers=args.workers)
-    return _emit(args.format, config.as_dict(), "stats", stats.as_dict())
+    stats = harness.run(config, workers=args.workers).as_dict()
+    return _emit(args.format, config.as_dict(), "stats", stats.keys(), [[stats.values()]])
 
 
-def _cmd_analyze(args: argparse.Namespace) -> list[str]:
+def _cmd_analyze(args: argparse.Namespace) -> Iterator[str]:
     start, end, step = (float(part) for part in args.d_grid.split(":"))
-    rows = information_table(disturbance_grid(start, end, step))
+    grid = checked_disturbances(disturbance_grid(start, end, step))
+    blocks = (grid[i:i + _BLOCK_ROWS] for i in range(0, len(grid), _BLOCK_ROWS))
     return _emit(
         args.format,
         {"d_grid": args.d_grid},
         "rows",
-        rows,
+        INFORMATION_COLUMNS,
+        map(information_rows, blocks),
         critical_disturbance=critical_disturbance(),
     )
 
 
-def _cmd_table(args: argparse.Namespace) -> list[str]:
+def _cmd_table(args: argparse.Namespace) -> Iterator[str]:
     rows = protocol_comparison(args.p_segment)
-    return _emit(args.format, {"p_segment": args.p_segment}, "rows", rows)
+    blocks = [[row.values() for row in rows]]
+    return _emit(args.format, {"p_segment": args.p_segment}, "rows", rows[0].keys(), blocks)
 
 
 def main(argv: list[str] | None = None) -> int:

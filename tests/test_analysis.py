@@ -230,9 +230,12 @@ class TestProtocolComparison:
         # too long to print in the message: past sys.get_int_max_str_digits()
         lambda: binary_entropy(10**5000),
         lambda: bb84_mutual_information(-(10**5000)),
+        # ints past the float range, one printable and one too long to print
+        lambda: disturbance_grid(0, 10**400, 1),
+        lambda: disturbance_grid(0, 10**5000, 1),
     ],
     ids=["entropy", "bb84", "twoway", "non-finite", "zero-step", "end-before-start", "too-many",
-         "entropy-huge", "bb84-huge"],
+         "entropy-huge", "bb84-huge", "grid-huge", "grid-unprintable"],
 )
 def test_every_rejected_value_raises_config_error(reject):
     # One exception type for every rejected value, still a ValueError, so

@@ -19,8 +19,10 @@ from support import assert_same_text, reference_document
 from test_golden import GOLDEN, PROMPT, digest
 from twoway_qkd import __version__, cli
 from twoway_qkd.analysis import (
+    INFORMATION_COLUMNS,
     critical_disturbance,
     disturbance_grid,
+    information_rows,
     information_table,
     protocol_comparison,
 )
@@ -199,6 +201,15 @@ class TestConfigRejection:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_every_grid_point_is_checked_before_the_first_byte(self, capsys, tmp_path,
+                                                                to_file):
+        target = tmp_path / "out.csv"
+        argv = ["analyze", "--d-grid", "0:0.6:0.1", *["--output", str(target)] * to_file]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", "error: disturbance must be in [0, 0.5], got 0.6\n")
+        assert not target.exists()
+
     def test_out_of_domain_grid_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--d-grid", "0:0.7:0.1")
         assert code == 3
@@ -371,22 +382,51 @@ class TestDocumentBytes:
 
 
 class TestEmitMemory:
-    """``_emit`` fills a document a block of rows at a time, so its peak
-    allocation is about one copy of the document, not several."""
+    """``_emit`` makes a document one block of rows at a time, as its pieces
+    are read, so its peak allocation does not grow with the row count."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_peak_is_at_most_one_and_a_half_documents(self, fmt):
-        rows = information_table(disturbance_grid(0.0, 0.5, 1e-5))
-        assert len(rows) == 50_001
+    def test_peak_does_not_grow_with_the_rows(self, fmt):
+        # 5,001 rows are two blocks and 50,001 are thirteen; an emitter that
+        # kept its blocks or pieces would peak about ten blocks higher.
+        (small, _), (large, longest) = (self.peak(fmt, step) for step in (1e-4, 1e-5))
+        assert abs(large - small) <= 2 * longest, f"peaks {small:,} and {large:,} bytes"
+
+    @staticmethod
+    def peak(fmt, step):
+        """Peak traced bytes while ``analyze``'s document over ``0:0.5:STEP`` is
+        made and read a piece at a time, and its longest piece.  The grid is
+        made before tracing starts: it is the command's, not the emitter's."""
+        grid = disturbance_grid(0.0, 0.5, step)
+        slices = (grid[i:i + _BLOCK_ROWS] for i in range(0, len(grid), _BLOCK_ROWS))
         extra = {"critical_disturbance": critical_disturbance()}
         tracemalloc.start()
         try:
-            pieces = _emit(fmt, {"d_grid": "0:0.5:1e-05"}, "rows", rows, **extra)
-            peak = tracemalloc.get_traced_memory()[1]
+            pieces = _emit(fmt, {"d_grid": f"0:0.5:{step}"}, "rows", INFORMATION_COLUMNS,
+                           map(information_rows, slices), **extra)
+            longest = max(map(len, pieces))
+            return tracemalloc.get_traced_memory()[1], longest
         finally:
             tracemalloc.stop()
-        length = sum(map(len, pieces))
-        assert peak <= 1.5 * length, f"peak {peak:,} bytes for a {length:,}-byte document"
+
+    def test_first_piece_is_written_before_the_last_block_is_made(self, monkeypatch):
+        events = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                events.append("write")
+                return super().write(text)
+
+        def spy(grid):
+            events.append("block")
+            return information_rows(grid)
+
+        monkeypatch.setattr(cli, "information_rows", spy)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["analyze", "--d-grid", "0:0.5:1e-05", "--format", "json"]) == 0
+        blocks = [i for i, event in enumerate(events) if event == "block"]
+        assert len(blocks) == 13
+        assert events.index("write") < blocks[-1]
 
 
 class TestEntrypoints:

@@ -14,7 +14,6 @@ import re
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -705,8 +704,9 @@ class TestDocumentBytes:
         config, key, body, extra = document
         event(f"{fmt} {key} {'many' if len(body) > 2 else len(body)}")
         expected = reference_document(fmt, config, key, body, **extra)
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
-            pieces = cli._emit(fmt, config, key, body, **extra)
+        rows = [body] if key == "stats" else body
+        keys = rows[0].keys() if rows else ()
+        pieces = cli._emit(fmt, config, key, keys, blocks_of(rows, block_rows), **extra)
         assert_same_text("".join(pieces), expected)
 
     @PROPERTY
@@ -721,6 +721,10 @@ class TestDocumentBytes:
         width = len(header)
         rows = [dict(zip(header, cells[i:i + width]))
                 for i in range(0, len(cells) - width + 1, width)]
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
-            pieces = cli._csv_document(meta, rows)
+        pieces = cli._csv_document(meta, header, blocks_of(rows, block_rows))
         assert_same_text("".join(pieces), reference_csv(meta, rows))
+
+
+def blocks_of(rows, size):
+    """``cli._emit``'s input: the values of ``rows``, ``size`` rows to a block."""
+    return [[row.values() for row in rows[i:i + size]] for i in range(0, len(rows), size)]
