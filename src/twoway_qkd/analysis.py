@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 
 from .channel import ChannelConfig, ConfigError, Protocol, _probability, _shown
 
@@ -75,9 +76,22 @@ def disturbance_grid(start: float, end: float, step: float) -> list[float]:
     outside the curves' domain (0.5 + 5e-17, say), so a last point after the
     first that lies within 1e-9 of ``end`` is snapped onto it; no other point
     moves, so the grid stays strictly increasing at any step and never
-    leaves [start, end].  Non-finite arguments and grids of more than
-    ``MAX_GRID_POINTS`` points are rejected.
+    leaves [start, end]: it lies in an interval exactly when its first and
+    last points do.  Non-finite arguments and grids of more than
+    ``MAX_GRID_POINTS`` points are rejected.  The grid is the one block of
+    :func:`grid_blocks` with room for every point.
     """
+    return next(grid_blocks(start, end, step, MAX_GRID_POINTS, checked=False))
+
+
+def grid_blocks(
+    start: float, end: float, step: float, rows: int, *, checked: bool = True
+) -> Iterator[list[float]]:
+    """``disturbance_grid(start, end, step)``, ``rows`` points to a block (fewer
+    in the last), each block made as it is read.  The call raises what
+    ``disturbance_grid`` and, if ``checked``, ``checked_disturbances`` would,
+    so reading raises nothing; as the grid never decreases, only a grid with
+    an end out of [0, 1/2] is scanned, for the first point that is."""
     # Finite as floats: NaN, +-inf and an int past the float range fail.
     if not all(abs(v) <= sys.float_info.max for v in (start, end, step)):
         shown = ":".join(_shown(v, str) for v in (start, end, step))
@@ -92,11 +106,21 @@ def disturbance_grid(start: float, end: float, step: float) -> list[float]:
     n = int(round(span))
     if start + step * n - end > 1e-9:
         n -= 1
-    # Point 0 is ``start`` itself: start + 0.0 would turn -0.0 into 0.0.
-    grid = [start, *(start + step * k for k in range(1, n + 1))]
-    if n and abs(grid[-1] - end) <= 1e-9:
-        grid[-1] = end
-    return grid
+    last = end if n and abs(start + step * n - end) <= 1e-9 else start + step * n
+
+    def block(i: int) -> list[float]:
+        points = [start + step * k for k in range(i, min(i + rows, n + 1))]
+        if i + rows > n:
+            points[-1] = last
+        if not i:
+            points[0] = start  # start + 0.0 would turn -0.0 into 0.0
+        return points
+
+    blocks = map(block, range(0, n + 1, rows))
+    if checked and not 0.0 <= start <= last <= 0.5:
+        for points in blocks:  # an end is out, so some block raises
+            checked_disturbances(points)
+    return blocks
 
 
 INFORMATION_COLUMNS = ("d", "i_ab", "i_ae", "secret_fraction")
@@ -104,7 +128,9 @@ INFORMATION_COLUMNS = ("d", "i_ab", "i_ae", "secret_fraction")
 
 def checked_disturbances(grid: list[float]) -> list[float]:
     """``grid``, once every point is a disturbance in [0, 1/2]; otherwise a
-    ConfigError names the first point that is not."""
+    ConfigError names the first point that is not.  A grid that never
+    decreases, as ``disturbance_grid``'s, passes exactly when its first and
+    last points do (``grid_blocks`` checks only those)."""
     for d in grid:
         if not 0.0 <= d <= 0.5:
             raise ConfigError(f"disturbance must be in [0, 0.5], got {_shown(d, str)}")

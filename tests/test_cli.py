@@ -22,6 +22,7 @@ from twoway_qkd.analysis import (
     INFORMATION_COLUMNS,
     critical_disturbance,
     disturbance_grid,
+    grid_blocks,
     information_rows,
     information_table,
     protocol_comparison,
@@ -210,6 +211,22 @@ class TestConfigRejection:
         assert (code, out, err) == (3, "", "error: disturbance must be in [0, 0.5], got 0.6\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("grid, bad", [
+        # row 100,002 of 200,001: a block deep inside, far from either end
+        ("0.4:0.6:1e-6", "0.500001"),
+        ("-1e-320:0.5:0.25", "-1e-320"),
+    ])
+    def test_the_first_bad_point_is_named_wherever_it_lies(self, capsys, tmp_path, fmt,
+                                                            grid, bad):
+        target = tmp_path / "out"
+        for argv in ([], ["--output", str(target)]):
+            code, out, err = run_cli(capsys, "analyze", f"--d-grid={grid}", "--format", fmt,
+                                     *argv)
+            assert (code, out) == (3, "")
+            assert err == f"error: disturbance must be in [0, 0.5], got {bad}\n"
+        assert not target.exists()
+
     def test_out_of_domain_grid_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--d-grid", "0:0.7:0.1")
         assert code == 3
@@ -342,7 +359,9 @@ class TestDocumentBytes:
         self.check_analyze(capsys, fmt, 0.5, 0.001, 501)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("count", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    # one row; one block and one row more; four blocks and one row more
+    @pytest.mark.parametrize("count", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                       4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 1])
     def test_analyze_at_a_block_boundary(self, capsys, fmt, count):
         self.check_analyze(capsys, fmt, (count - 1) / 10_000, 0.0001, count)
 
@@ -382,30 +401,60 @@ class TestDocumentBytes:
 
 
 class TestEmitMemory:
-    """``_emit`` makes a document one block of rows at a time, as its pieces
-    are read, so its peak allocation does not grow with the row count."""
+    """``analyze`` makes its grid, its rows and its document one block of rows
+    at a time, as the pieces are read, so its peak allocation does not grow
+    with the row count."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_peak_does_not_grow_with_the_rows(self, fmt):
-        # 5,001 rows are two blocks and 50,001 are thirteen; an emitter that
-        # kept its blocks or pieces would peak about ten blocks higher.
+        # 5,001 rows are five blocks and 50,001 are forty-nine; an emitter that
+        # kept its blocks or pieces would peak about forty blocks higher.
         (small, _), (large, longest) = (self.peak(fmt, step) for step in (1e-4, 1e-5))
+        assert abs(large - small) <= 2 * longest, f"peaks {small:,} and {large:,} bytes"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_command_peak_does_not_grow_with_the_rows(self, fmt, monkeypatch):
+        # The same, for the whole command: the grid is made inside the trace.
+        (small, _), (large, longest) = (self.command_peak(fmt, step, monkeypatch)
+                                        for step in (1e-4, 1e-5))
         assert abs(large - small) <= 2 * longest, f"peaks {small:,} and {large:,} bytes"
 
     @staticmethod
     def peak(fmt, step):
         """Peak traced bytes while ``analyze``'s document over ``0:0.5:STEP`` is
-        made and read a piece at a time, and its longest piece.  The grid is
-        made before tracing starts: it is the command's, not the emitter's."""
-        grid = disturbance_grid(0.0, 0.5, step)
-        slices = (grid[i:i + _BLOCK_ROWS] for i in range(0, len(grid), _BLOCK_ROWS))
+        made and read a piece at a time, and its longest piece.  The blocks
+        are handed out before tracing starts and made inside it."""
+        blocks = grid_blocks(0.0, 0.5, step, _BLOCK_ROWS)
         extra = {"critical_disturbance": critical_disturbance()}
         tracemalloc.start()
         try:
             pieces = _emit(fmt, {"d_grid": f"0:0.5:{step}"}, "rows", INFORMATION_COLUMNS,
-                           map(information_rows, slices), **extra)
+                           map(information_rows, blocks), **extra)
             longest = max(map(len, pieces))
             return tracemalloc.get_traced_memory()[1], longest
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def command_peak(fmt, step, monkeypatch):
+        """Peak traced bytes while ``main`` runs ``analyze --d-grid 0:0.5:STEP``
+        and writes to a stdout that keeps only the length of its longest
+        piece, and that length."""
+
+        class Longest:
+            length = 0
+
+            def writelines(self, pieces):
+                for piece in pieces:
+                    self.length = max(self.length, len(piece))
+
+        sink = Longest()
+        monkeypatch.setattr(sys, "stdout", sink)
+        cli._parser()  # built once per process, not per run
+        tracemalloc.start()
+        try:
+            assert main(["analyze", "--d-grid", f"0:0.5:{step}", "--format", fmt]) == 0
+            return tracemalloc.get_traced_memory()[1], sink.length
         finally:
             tracemalloc.stop()
 
@@ -425,7 +474,7 @@ class TestEmitMemory:
         monkeypatch.setattr(sys, "stdout", Recorder())
         assert main(["analyze", "--d-grid", "0:0.5:1e-05", "--format", "json"]) == 0
         blocks = [i for i, event in enumerate(events) if event == "block"]
-        assert len(blocks) == 13
+        assert len(blocks) == -(-50_001 // _BLOCK_ROWS)
         assert events.index("write") < blocks[-1]
 
 

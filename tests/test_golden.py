@@ -16,8 +16,9 @@ read as its exit code.
 * ``digests.txt``: the same for ``simulate`` over the six pairings, q 0,
   0.4 and 1 and the four channels below, in both formats, at 9000 rounds;
   for 1 to 1,000,000 rounds on the attacked pairings at ``--workers 1``;
-  and for ``analyze`` on a signed-zero grid and grids of 1,
-  ``cli._BLOCK_ROWS`` and one more row, in both formats.
+  and for ``analyze`` on a signed-zero grid and grids of 1, 4096 and 4097
+  rows (four whole blocks of ``cli._BLOCK_ROWS`` and one row more), in both
+  formats.
 * ``exits.txt``: ``--version`` and a command for each documented non-zero
   exit code, run from an empty working directory.  Each ``$ twoway-qkd``
   line is followed by its stdout, an ``exit N`` line and its stderr; for
@@ -32,6 +33,11 @@ A mismatch names the first differing line and the command or case it
 belongs to.  ``python tools/golden.py`` rewrites the files from the
 working tree and ``git diff tests/golden/`` shows what changed; a change
 that alters them says why in CHANGES.md.
+
+The module needs only the standard library and the package, so any
+supported Python can check the record without pytest:
+``PYTHONPATH=src python tests/test_golden.py`` compares every file, names
+the first mismatch in each and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -42,10 +48,9 @@ import io
 import os
 import random
 import shlex
+import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 from twoway_qkd.channel import ChannelConfig, Protocol, Strategy
 from twoway_qkd.cli import main
@@ -107,7 +112,7 @@ def digest_commands() -> list[list[str]]:
                       "--workers", "1", cm_prob="0.3")
              for protocol, attack in ATTACKED
              for rounds in ("1", "4097", "16383", "16385", "200000", "1000000")]
-    # a signed zero; 1, cli._BLOCK_ROWS (4096) and 4097 rows
+    # a signed zero; 1, 4096 (4 * cli._BLOCK_ROWS) and 4097 rows
     grids = [["analyze", grid, "--format", fmt]
              for grid in ("--d-grid=-0.0:0.5:0.125", "--d-grid=0.25:0.25:0.1",
                           "--d-grid=0:0.4095:0.0001", "--d-grid=0:0.4096:0.0001")
@@ -219,9 +224,10 @@ def first_difference(name: str, expected: str, actual: str) -> str:
 
 
 def check(name: str) -> None:
+    __tracebackhide__ = True  # pytest shows the message, not this frame
     expected, actual = (GOLDEN / name).read_bytes().decode("utf-8"), render(name)
     if actual != expected:
-        pytest.fail(first_difference(name, expected, actual), pytrace=False)
+        raise AssertionError(first_difference(name, expected, actual))
 
 
 def test_simulate_full_text():
@@ -242,3 +248,21 @@ def test_exit_paths():
 
 def test_reference_model_counters():
     check("reference.txt")
+
+
+def check_all() -> int:
+    """Check every file of the record; 1 if any differs, else 0."""
+    failed = False
+    for name in RECORD:
+        try:
+            check(name)
+        except AssertionError as exc:
+            failed = True
+            print(exc, file=sys.stderr)
+        else:
+            print(f"tests/golden/{name} matches")
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(check_all())

@@ -14,6 +14,7 @@ import re
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from twoway_qkd import cli  # noqa: E402
 from twoway_qkd.adversaries import AttackConfig  # noqa: E402
 from twoway_qkd.analysis import (  # noqa: E402
     MAX_GRID_POINTS,
+    checked_disturbances,
     disturbance_grid,
+    grid_blocks,
     twoway_mutual_information,
 )
 from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol, Strategy  # noqa: E402
@@ -386,6 +389,94 @@ class TestGridSnapping:
         args.insert(position, bad)
         with pytest.raises(ValueError):
             disturbance_grid(*args)
+
+
+@st.composite
+def small_grids(draw):
+    """START, END, STEP of a grid of at most about 300 points, inside or
+    outside [0, 1/2], or values that ``disturbance_grid`` rejects before it
+    builds anything.  Starts include signed zeros and the ends of the
+    domain; ends lie on a point, between points or within the 1e-9 snapping
+    distance of one; steps go down to below that distance; a count of 0
+    gives one-point grids."""
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        start, end, step = draw(floats), draw(floats), draw(floats)
+        span = _grid_points(start, end, step)
+        assume(span is None or not 0.0 <= span <= MAX_GRID_POINTS - 1 or span <= 300)
+        return start, end, step
+    start = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-320, 0.25, 0.4, 0.5,
+                         math.nextafter(0.5, 1.0), 0.6]),
+        st.floats(min_value=-0.1, max_value=0.6),
+    ))
+    step = draw(st.one_of(st.sampled_from([5e-324, 1e-12, 1e-10, 1e-9, 1e-4, 0.1, 0.125]),
+                          st.floats(min_value=1e-12, max_value=0.3)))
+    count = draw(st.integers(min_value=0, max_value=300))
+    part = draw(st.sampled_from([0.0, 0.5, 0.999]))
+    off = draw(st.sampled_from([0.0, 5e-17, -5e-17, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9]))
+    return start, max(start, start + (count + part) * step + off), step
+
+
+class TestGridBlocks:
+    """``analyze``'s lazy grid: its blocks join into ``disturbance_grid``, and
+    its up-front check raises what checking the whole grid raises."""
+
+    @PROPERTY
+    @given(small_grids())
+    @example((-0.0, 0.5, 0.125))
+    @example((0.25, 0.25, 0.1))
+    @example((0.0, 1e-9, 1e-10))
+    @example((0.0, 5e-324, 5e-324))
+    @example((0.0, 0.6, 0.1))
+    @example((-1e-320, 0.5, 0.25))
+    @example((0.0, math.inf, 0.1))
+    def test_blocks_join_into_the_grid(self, args):
+        try:
+            grid = disturbance_grid(*args)
+        except ConfigError:
+            event("rejected")
+            with pytest.raises(ConfigError):
+                grid_blocks(*args, 1, checked=False)
+            return
+        event("inside" if 0.0 <= grid[0] and grid[-1] <= 0.5 else "outside")
+        for rows in (1, 3, cli._BLOCK_ROWS):
+            blocks = list(grid_blocks(*args, rows, checked=False))
+            assert [len(block) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1]) <= rows
+            assert hexes(chain.from_iterable(blocks)) == hexes(grid)
+
+    @PROPERTY
+    @given(small_grids())
+    @example((0.0, 0.6, 0.1))
+    @example((0.4, 0.5 + 3e-6, 1e-6))
+    @example((-1e-320, 0.5, 0.25))
+    @example((-0.0, 0.5, 0.125))
+    @example((0.5, 0.5, 0.1))
+    @example((math.nextafter(0.5, 1.0), 0.6, 0.01))
+    def test_up_front_check_raises_what_the_whole_grid_check_raises(self, args):
+        whole = outcome(lambda: hexes(checked_disturbances(disturbance_grid(*args))))
+        event(whole[0])
+        for rows in (1, 3, cli._BLOCK_ROWS):
+            lazy = outcome(lambda: grid_blocks(*args, rows))
+            if whole[0] == "passed":
+                assert lazy[0] == "passed"
+                assert hexes(chain.from_iterable(lazy[1])) == whole[1]
+            else:
+                assert lazy == whole
+
+
+def hexes(points):
+    """The points as ``float.hex`` text, which tells -0.0 from 0.0."""
+    return [point.hex() for point in points]
+
+
+def outcome(make):
+    """("passed", what ``make`` returns) or ("raised", its ConfigError's text)."""
+    try:
+        return "passed", make()
+    except ConfigError as exc:
+        return "raised", str(exc)
+
 
 
 def _is_int(text: str) -> bool:
