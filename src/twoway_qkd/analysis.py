@@ -15,27 +15,25 @@ import math
 import sys
 from collections.abc import Iterator
 
-from .channel import ChannelConfig, ConfigError, Protocol, _probability, _shown
+from .channel import ChannelConfig, ConfigError, Protocol, _probability, _real, _shown
 
 MAX_GRID_POINTS = 1_000_000
 
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy h(x) of a Bernoulli(x) variable, in bits."""
-    if not 0.0 <= x <= 1.0:
-        raise ConfigError(f"binary_entropy argument must be in [0, 1], got {_shown(x, str)}")
-    return _information(x)[2]  # I_AE = h(x)
+    return _information(_probability("binary_entropy argument", x))[2]  # I_AE = h(x)
 
 
 def bb84_mutual_information(d: float) -> tuple[float, float]:
     """(I_AB, I_AE) per sifted bit at disturbance d, for d in [0, 1/2]."""
-    _, i_ab, i_ae, _ = _information(checked_disturbances([d])[0])
+    _, i_ab, i_ae, _ = _information(_disturbance(d))
     return i_ab, i_ae
 
 
 def bb84_secret_fraction(d: float) -> float:
     """I_AB - I_AE = 1 - 2 h(d).  Negative past the critical disturbance."""
-    return _information(checked_disturbances([d])[0])[3]
+    return _information(_disturbance(d))[3]
 
 
 def twoway_mutual_information(q: float) -> tuple[float, float]:
@@ -56,11 +54,12 @@ def critical_disturbance() -> float:
     The crossing solves 1 - 2 h(d) = 0 on (0, 1/2), where the secret
     fraction is strictly decreasing, so plain bisection converges; no
     root-finding dependency is worth pulling in for one monotone equation.
+    Every midpoint lies inside (0, 1/2), so none needs a domain check.
     """
     lo, hi = 1e-15, 0.5
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if bb84_secret_fraction(mid) > 0.0:
+        if _information(mid)[3] > 0.0:
             lo = mid
         else:
             hi = mid
@@ -77,8 +76,9 @@ def disturbance_grid(start: float, end: float, step: float) -> list[float]:
     first that lies within 1e-9 of ``end`` is snapped onto it; no other point
     moves, so the grid stays strictly increasing at any step and never
     leaves [start, end]: it lies in an interval exactly when its first and
-    last points do.  Non-finite arguments and grids of more than
-    ``MAX_GRID_POINTS`` points are rejected.  The grid is the one block of
+    last points do.  The arguments are checked and stored as floats by the
+    one realness check of :mod:`.channel`; non-finite ones and grids of more
+    than ``MAX_GRID_POINTS`` points are rejected.  The grid is the one block of
     :func:`grid_blocks` with room for every point.
     """
     return next(grid_blocks(start, end, step, MAX_GRID_POINTS, checked=False))
@@ -89,10 +89,11 @@ def grid_blocks(
 ) -> Iterator[list[float]]:
     """``disturbance_grid(start, end, step)``, ``rows`` points to a block (fewer
     in the last), each block made as it is read.  The call raises what
-    ``disturbance_grid`` and, if ``checked``, ``checked_disturbances`` would,
-    so reading raises nothing; as the grid never decreases, only a grid with
-    an end out of [0, 1/2] is scanned, for the first point that is."""
-    # Finite as floats: NaN, +-inf and an int past the float range fail.
+    ``disturbance_grid`` and, if ``checked``, the disturbance check of each
+    point would, so reading raises nothing; as the grid never decreases, only
+    a grid with an end out of [0, 1/2] is scanned, for the first point that is."""
+    start, end, step = map(_real, ("grid start", "grid end", "grid step"), (start, end, step))
+    # Finite as floats: NaN, +-inf and a real past the float range fail.
     if not all(abs(v) <= sys.float_info.max for v in (start, end, step)):
         shown = ":".join(_shown(v, str) for v in (start, end, step))
         raise ConfigError(f"grid values must be finite, got {shown}")
@@ -118,28 +119,22 @@ def grid_blocks(
 
     blocks = map(block, range(0, n + 1, rows))
     if checked and not 0.0 <= start <= last <= 0.5:
-        for points in blocks:  # an end is out, so some block raises
-            checked_disturbances(points)
+        for points in blocks:  # an end is out, so some point raises
+            list(map(_disturbance, points))
     return blocks
 
 
 INFORMATION_COLUMNS = ("d", "i_ab", "i_ae", "secret_fraction")
 
 
-def checked_disturbances(grid: list[float]) -> list[float]:
-    """``grid``, once every point is a disturbance in [0, 1/2]; otherwise a
-    ConfigError names the first point that is not.  A grid that never
-    decreases, as ``disturbance_grid``'s, passes exactly when its first and
-    last points do (``grid_blocks`` checks only those)."""
-    for d in grid:
-        if not 0.0 <= d <= 0.5:
-            raise ConfigError(f"disturbance must be in [0, 0.5], got {_shown(d, str)}")
-    return grid
+def _disturbance(d: object) -> float:
+    """``d`` as a float disturbance in [0, 1/2], the curves' domain."""
+    return _probability("disturbance", d, top=0.5)
 
 
 def information_rows(grid: list[float]) -> list[tuple[float, float, float, float]]:
-    """The values of ``INFORMATION_COLUMNS`` at each point of a grid that
-    ``checked_disturbances`` passed."""
+    """The values of ``INFORMATION_COLUMNS`` at each point of a grid of
+    disturbances, as ``grid_blocks`` checks them."""
     return list(map(_information, grid))
 
 
@@ -152,11 +147,8 @@ def _information(d: float) -> tuple[float, float, float, float]:
 
 def information_table(grid: list[float]) -> list[dict[str, float]]:
     """Rows of closed-form quantities over a disturbance grid."""
-    d_, i_ab_, i_ae_, secret_fraction_ = INFORMATION_COLUMNS
-    return [
-        {d_: d, i_ab_: i_ab, i_ae_: i_ae, secret_fraction_: secret_fraction}
-        for d, i_ab, i_ae, secret_fraction in map(_information, checked_disturbances(grid))
-    ]
+    rows = information_rows(list(map(_disturbance, grid)))
+    return [dict(zip(INFORMATION_COLUMNS, row)) for row in rows]
 
 
 def protocol_comparison(p_segment: float = 1.0) -> list[dict[str, object]]:

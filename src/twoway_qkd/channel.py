@@ -36,18 +36,24 @@ def _check_type(name: str, value: object, kind: type) -> None:
         raise ConfigError(f"{name} must be of type {kind.__name__}, got {_shown(value)}")
 
 
-def _probability(name: str, value: object, ends: str = "[]") -> float:
-    """``value`` as a float in 0 to 1 with closed ``[]`` or open ``()`` ``ends``,
-    checked on the float stored; bools and non-reals are rejected."""
+def _real(name: str, value: object) -> float:
+    """``value`` as a float, or as given if it is a real past the float range,
+    so that a range check can name it; bools and non-reals are rejected."""
     # float first: a float skips the ABC check, which costs about 0.5 us
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise ConfigError(f"{name} must be a real number, got {_shown(value)}")
     try:
-        p = float(value)
-    except OverflowError:  # a huge int or Fraction, out of range: shown as given
-        p = value
-    if not (0.0 < p < 1.0 or (p == 0.0 and ends[0] == "[") or (p == 1.0 and ends[1] == "]")):
-        raise ConfigError(f"{name} must be in {ends[0]}0, 1{ends[1]}, got {_shown(p, str)}")
+        return float(value)
+    except OverflowError:  # a huge int or Fraction: kept as given
+        return value
+
+
+def _probability(name: str, value: object, ends: str = "[]", top: float = 1) -> float:
+    """``value`` as a float in 0 to ``top`` with closed ``[]`` or open ``()``
+    ``ends``, checked on the float stored by :func:`_real`."""
+    p = _real(name, value)
+    if not (0.0 < p < top or (p == 0.0 and ends[0] == "[") or (p == top and ends[1] == "]")):
+        raise ConfigError(f"{name} must be in {ends[0]}0, {top:g}{ends[1]}, got {_shown(p, str)}")
     return p
 
 

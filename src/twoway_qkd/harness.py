@@ -447,6 +447,7 @@ def run(config: SimConfig, workers: int = 1) -> RunStats:
     Neither schedule builds a per-chunk plan, so memory does not grow with
     ``config.rounds``.
     """
+    _check_type("config", config, SimConfig)
     if not isinstance(workers, numbers.Integral) or isinstance(workers, bool) or workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {_shown(workers)}")
     n = -(-config.rounds // CHUNK_ROUNDS)

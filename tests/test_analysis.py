@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -233,9 +235,18 @@ class TestProtocolComparison:
         # ints past the float range, one printable and one too long to print
         lambda: disturbance_grid(0, 10**400, 1),
         lambda: disturbance_grid(0, 10**5000, 1),
+        # not real numbers
+        lambda: binary_entropy("0.1"),
+        lambda: bb84_mutual_information(None),
+        lambda: bb84_secret_fraction(0j),
+        lambda: twoway_mutual_information(Decimal("0.1")),
+        lambda: information_table([0.1, None]),
+        lambda: disturbance_grid(0.0, 0.5, "0.1"),
     ],
     ids=["entropy", "bb84", "twoway", "non-finite", "zero-step", "end-before-start", "too-many",
-         "entropy-huge", "bb84-huge", "grid-huge", "grid-unprintable"],
+         "entropy-huge", "bb84-huge", "grid-huge", "grid-unprintable", "entropy-non-real",
+         "bb84-non-real", "secret-fraction-non-real", "twoway-non-real", "table-non-real",
+         "grid-non-real"],
 )
 def test_every_rejected_value_raises_config_error(reject):
     # One exception type for every rejected value, still a ValueError, so

@@ -363,6 +363,11 @@ class TestDeterminism:
         with pytest.raises(ConfigError, match="workers must be a positive integer"):
             run(pp_config(rounds=10), workers=0)
 
+    @pytest.mark.parametrize("config", ["x", None, Protocol.PP, ChannelConfig()])
+    def test_config_must_be_a_sim_config(self, config):
+        with pytest.raises(ConfigError, match="config must be of type SimConfig"):
+            run(config)
+
     @pytest.mark.parametrize("workers", [1.5, 2.5, 2.0, True, False, "2", None, -1])
     def test_workers_must_be_a_positive_int(self, workers, monkeypatch, pool_from_one_chunk):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

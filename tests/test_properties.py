@@ -35,9 +35,12 @@ from twoway_qkd import cli  # noqa: E402
 from twoway_qkd.adversaries import AttackConfig  # noqa: E402
 from twoway_qkd.analysis import (  # noqa: E402
     MAX_GRID_POINTS,
-    checked_disturbances,
+    bb84_mutual_information,
+    bb84_secret_fraction,
+    binary_entropy,
     disturbance_grid,
     grid_blocks,
+    information_table,
     twoway_mutual_information,
 )
 from twoway_qkd.channel import ChannelConfig, ConfigError, Protocol, Strategy  # noqa: E402
@@ -273,6 +276,49 @@ class TestProbabilityFields:
         assert type(result[1]) is float
         json.dumps(result, allow_nan=False)
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(any_probability)
+    @example("0.1")
+    @example(None)
+    @example(True)
+    @example(False)
+    @example(0j)
+    @example(Decimal("0.1"))
+    @example(np.float32(0.1))
+    @example(Fraction(1, 10**400))
+    def test_analysis_returns_the_float_or_raises(self, value):
+        for name, call in ANALYSIS_CALLS.items():
+            try:
+                result = call(value)
+            except ConfigError:
+                event(f"{name} rejected")
+                continue
+            expected = call(float(value))
+            assert result == expected
+            got = numbers_in(result)
+            assert {type(number) for number in got} == {float}
+            assert hexes(got) == hexes(numbers_in(expected))
+
+
+# The analysis entry points, each called with one value.
+ANALYSIS_CALLS = {
+    "binary_entropy": binary_entropy,
+    "bb84_mutual_information": bb84_mutual_information,
+    "bb84_secret_fraction": bb84_secret_fraction,
+    "information_table": lambda value: information_table([value]),
+    "grid start": lambda value: disturbance_grid(value, 0.5, 0.1),
+    "grid step": lambda value: disturbance_grid(0.0, 0.5, value),
+}
+
+
+def numbers_in(result):
+    """Every number in an analysis result, in order."""
+    if isinstance(result, dict):
+        result = list(result.values())
+    if isinstance(result, (list, tuple)):
+        return list(chain.from_iterable(map(numbers_in, result)))
+    return [result]
+
 
 CONFIG_FIELDS = ["rounds", "seed", "workers", "protocol", "strategy", "attack", "channel"]
 
@@ -454,7 +500,8 @@ class TestGridBlocks:
     @example((0.5, 0.5, 0.1))
     @example((math.nextafter(0.5, 1.0), 0.6, 0.01))
     def test_up_front_check_raises_what_the_whole_grid_check_raises(self, args):
-        whole = outcome(lambda: hexes(checked_disturbances(disturbance_grid(*args))))
+        whole = outcome(
+            lambda: hexes(row["d"] for row in information_table(disturbance_grid(*args))))
         event(whole[0])
         for rows in (1, 3, cli._BLOCK_ROWS):
             lazy = outcome(lambda: grid_blocks(*args, rows))
