@@ -57,6 +57,21 @@ def _probability(name: str, value: object, ends: str = "[]", top: float = 1) -> 
     return p
 
 
+def _integer(name: str, value: object, least: int) -> int:
+    """``value`` as an int that prints, no less than ``least`` (1 or 0);
+    bools and non-integers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
+    value = int(value)  # numpy ints -> JSON-safe
+    try:
+        str(value)  # as the chunk seeds and the output metadata print it
+    except ValueError:
+        raise ConfigError(f"{name} is too long to print, got {_shown(value)}") from None
+    if value < least:
+        raise ConfigError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
+    return value
+
+
 class _Value:
     """Fields: ``__slots__``, in ``__init__``'s order; ==, repr and pickle go by them."""
 

@@ -13,6 +13,7 @@ configurations the model rejects, 4 for output I/O failures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Collection, Iterable, Iterator
 from functools import cache
@@ -254,24 +255,47 @@ def _cmd_table(args: argparse.Namespace) -> Iterator[str]:
     return _emit(args.format, {"p_segment": args.p_segment}, "rows", rows[0].keys(), blocks)
 
 
+def _discard(stream: object) -> None:
+    """Point a failed standard stream's descriptor at the null device, so
+    that what it still buffers cannot fail again when the interpreter exits."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, ValueError):  # None, a stand-in without a descriptor, closed
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """Print ``exc`` as one ``error:`` line and return ``code``, even when
+    standard error is closed."""
+    try:
+        print(f"error: {exc}", file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         pieces = args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc, EXIT_CONFIG)
     try:
         if args.output is None:
             if sys.stdout is None:  # started with file descriptor 1 closed
                 raise OSError("standard output is closed")
             sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # here, not at exit, so that a closed pipe is exit 4
         else:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.writelines(pieces)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if args.output is None:
+            _discard(sys.stdout)
+        return _fail(exc, EXIT_IO)
     return 0
 
 

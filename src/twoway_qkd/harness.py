@@ -72,7 +72,6 @@ Eve is present:
 
 from __future__ import annotations
 
-import numbers
 import os
 import random
 from itertools import repeat
@@ -80,7 +79,7 @@ from itertools import repeat
 from .adversaries import AttackConfig, validate_attack
 from .analysis import binary_entropy
 from .channel import (ChannelConfig, ConfigError, Protocol, Strategy, _check_type, _Frozen,
-                      _probability, _shown, _Value)
+                      _integer, _probability, _Value)
 
 # Rounds per chunk, one bit each in the kernel's ints.  Larger chunks spread
 # each chunk's seeding and threshold walks over more rounds.
@@ -350,25 +349,11 @@ class SimConfig(_Frozen):
     def __init__(self, protocol: Protocol, rounds: int, seed: int = 0,
                  attack: AttackConfig = AttackConfig(), cm_prob: float = 0.0,
                  channel: ChannelConfig = ChannelConfig()) -> None:
-        self._set(protocol, rounds, seed, attack, cm_prob, channel)
         _check_type("protocol", protocol, Protocol)
         _check_type("attack", attack, AttackConfig)
         _check_type("channel", channel, ChannelConfig)
-        for name in ("rounds", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
-            value = int(value)  # numpy ints -> JSON-safe
-            try:
-                str(value)  # as the chunk seeds and the output metadata print it
-            except ValueError:
-                raise ConfigError(f"{name} is too long to print, got {_shown(value)}") from None
-            object.__setattr__(self, name, value)
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be positive, got {self.rounds}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        object.__setattr__(self, "cm_prob", _probability("cm_prob", cm_prob))
+        self._set(protocol, _integer("rounds", rounds, 1), _integer("seed", seed, 0), attack,
+                  _probability("cm_prob", cm_prob), channel)
         if self.protocol is Protocol.BB84 and self.cm_prob != 0.0:
             raise ConfigError(
                 "the prepare-and-measure protocol has no control mode; "
@@ -448,10 +433,8 @@ def run(config: SimConfig, workers: int = 1) -> RunStats:
     ``config.rounds``.
     """
     _check_type("config", config, SimConfig)
-    if not isinstance(workers, numbers.Integral) or isinstance(workers, bool) or workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {_shown(workers)}")
     n = -(-config.rounds // CHUNK_ROUNDS)
-    workers = _pool_size(int(workers), n)
+    workers = _pool_size(_integer("workers", workers, 1), n)
     if workers == 1:
         return _run_chunks(config, 0, n)
     from concurrent.futures import ProcessPoolExecutor

@@ -166,6 +166,30 @@ class TestOutputFile:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, stderr_too",
+        [
+            # Small enough to sit in stdout's buffer until main flushes it.
+            (["simulate", "--protocol", "pp", "--rounds", "100", "--format", "csv"], False),
+            # Large enough to fail while written, and the error line fails too.
+            (["analyze", "--d-grid", "0:0.5:0.0001", "--format", "csv"], True),
+        ],
+        ids=["stdout", "stdout-and-stderr"],
+    )
+    def test_closed_pipe_exits_4_when_stdout_is_buffered(self, argv, stderr_too):
+        # Both ends of a pipe whose reader has gone: every write to it fails.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "twoway_qkd", *argv], env=env,
+                                    stdout=write, stderr=write if stderr_too else subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert result.returncode == 4
+        if not stderr_too:
+            assert result.stderr.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
+
 
 class TestConfigRejection:
     def test_foreign_attack_exits_3(self, capsys):
@@ -447,6 +471,9 @@ class TestEmitMemory:
             def writelines(self, pieces):
                 for piece in pieces:
                     self.length = max(self.length, len(piece))
+
+            def flush(self):
+                pass
 
         sink = Longest()
         monkeypatch.setattr(sys, "stdout", sink)

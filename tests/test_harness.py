@@ -360,7 +360,7 @@ class TestDeterminism:
 
     def test_bad_workers_raise_config_error(self):
         assert issubclass(ConfigError, ValueError)
-        with pytest.raises(ConfigError, match="workers must be a positive integer"):
+        with pytest.raises(ConfigError, match="workers must be positive, got 0"):
             run(pp_config(rounds=10), workers=0)
 
     @pytest.mark.parametrize("config", ["x", None, Protocol.PP, ChannelConfig()])
@@ -371,12 +371,35 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [1.5, 2.5, 2.0, True, False, "2", None, -1])
     def test_workers_must_be_a_positive_int(self, workers, monkeypatch, pool_from_one_chunk):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.raises(ValueError, match="workers must be a positive integer"):
+        with pytest.raises(ValueError, match="workers must be (an integer|positive), got "):
             run(pp_config(rounds=3 * CHUNK_ROUNDS), workers=workers)
 
     def test_numpy_integer_workers(self, pool_from_one_chunk):
         config = pp_config(rounds=2 * CHUNK_ROUNDS)
         assert run(config, workers=np.int64(2)) == run(config)
+
+
+@pytest.mark.parametrize("field, least, bound",
+                         [("rounds", 1, "positive"), ("seed", 0, "non-negative"),
+                          ("workers", 1, "positive")])
+@pytest.mark.parametrize(
+    "value, message",
+    [(True, "must be an integer, got True"), (2.0, "must be an integer, got 2.0"),
+     ("2", "must be an integer, got '2'"), (None, "must be an integer, got None"),
+     (10**5000, "is too long to print, got <int of 16610 bits>"), ("below", None)],
+    ids=["bool", "float", "str", "none", "huge", "below"],
+)
+def test_integer_fields_share_one_rule(field, least, bound, value, message):
+    """rounds and seed, checked by SimConfig, and workers, checked by run,
+    reject the same values with the same messages."""
+    if value == "below":
+        value, message = least - 1, f"must be {bound}, got {least - 1}"
+    with pytest.raises(ConfigError) as info:
+        if field == "workers":
+            run(pp_config(rounds=10), workers=value)
+        else:
+            SimConfig(protocol=Protocol.PP, **{"rounds": 100, field: value})
+    assert str(info.value) == f"{field} {message}"
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
