@@ -127,7 +127,7 @@ _PASSES = {Protocol.BB84: 1, Protocol.PP: 4, Protocol.LM05: 2}
 
 
 class Strategy(Enum):
-    """Eve's attack; :mod:`twoway_qkd.adversaries` says which protocol each fits."""
+    """Eve's attack; ``harness._ATTACKS`` says which protocol each fits."""
 
     NONE = "none"
     INTERCEPT_RESEND = "intercept-resend"

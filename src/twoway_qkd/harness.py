@@ -74,9 +74,10 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from itertools import repeat
 
-from .adversaries import AttackConfig, validate_attack
+from .adversaries import AttackConfig
 from .analysis import binary_entropy
 from .channel import (ChannelConfig, ConfigError, Protocol, Strategy, _check_type, _Frozen,
                       _integer, _probability, _Value)
@@ -337,6 +338,10 @@ CHUNK_KERNELS = {
     Protocol.LM05: _chunk_kernel(_lm05_chunk),
 }
 
+# The attack each body plays where Eve is present; a run may use it or none.
+_ATTACKS = {Protocol.BB84: Strategy.INTERCEPT_RESEND, Protocol.PP: Strategy.NGUYEN,
+            Protocol.LM05: Strategy.LUCAMARINI}
+
 
 # -- runs --------------------------------------------------------------------
 
@@ -359,7 +364,9 @@ class SimConfig(_Frozen):
                 "the prepare-and-measure protocol has no control mode; "
                 "cm_prob must be 0 for bb84"
             )
-        validate_attack(self.protocol, self.attack)
+        if attack.strategy not in (Strategy.NONE, _ATTACKS[protocol]):
+            raise ConfigError(f"attack {attack.strategy.value!r} is not defined against "
+                              f"protocol {protocol.value!r}")
 
     def as_dict(self) -> dict[str, object]:
         """Flat mapping used for output metadata."""
@@ -438,9 +445,12 @@ def run(config: SimConfig, workers: int = 1) -> RunStats:
     if workers == 1:
         return _run_chunks(config, 0, n)
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
     firsts = range(0, n, max(1, n // (workers * 4)))
     # Forked for this run, so workers play the current _run_chunk and
-    # _chunk_rng, including a tracer's or a test's replacement.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # _chunk_rng, including a tracer's or a test's replacement.  Fork is
+    # pinned on Linux, which CPython 3.14 moves to forkserver.
+    context = get_context("fork") if sys.platform == "linux" else None
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return _merged(pool.map(_run_chunks, repeat(config), firsts, [*firsts[1:], n]))

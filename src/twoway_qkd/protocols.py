@@ -4,7 +4,8 @@
 :data:`ROUND_FUNCTIONS` plays one round at a time with the :mod:`quantum`
 state objects, drawing from a :class:`random.Random`: the kernels'
 presence, mode and loss rows as single ``random()`` draws (the presence
-draw in every round, the dark-count coin only on a lost round), then the
+draw in every round, the mode draw only at ``cm_prob`` > 0 and the
+dark-count coin only on a lost round at ``dark_prob`` > 0), then the
 protocol's draws in channel order, Eve's included, each spent only when the
 round reaches it.  Each round body plays its attack inline and the skeleton
 books the round with the kernels' own :func:`twoway_qkd.harness._book`, one
@@ -36,7 +37,7 @@ _X = Basis.X
 _NONE = Strategy.NONE
 
 
-def _round_function(body, two_way: bool):
+def _round_function(body):
     """The shared round skeleton around one protocol body.
 
     The body is called as ``body(rng, cm, dark, eve)`` for a detected round
@@ -54,7 +55,7 @@ def _round_function(body, two_way: bool):
         dark_prob: float,
     ) -> None:
         eve = rng.random() < q and strategy is not _NONE
-        cm = two_way and rng.random() < cm_prob
+        cm = cm_prob > 0.0 and rng.random() < cm_prob
         live = rng.random() < transmittance
         dark = not live and dark_prob > 0.0 and rng.random() < dark_prob
         result = body(rng, cm, dark, eve and not dark) if live or dark else None
@@ -180,9 +181,9 @@ def _lm05(rng: random.Random, cm: bool, dark: bool, eve: bool):
     return (m ^ prep_bit) != a_bit, eve and e_bit == a_bit
 
 
-bb84_round = _round_function(_bb84, two_way=False)
-pp_round = _round_function(_pp, two_way=True)
-lm05_round = _round_function(_lm05, two_way=True)
+bb84_round = _round_function(_bb84)
+pp_round = _round_function(_pp)
+lm05_round = _round_function(_lm05)
 
 ROUND_FUNCTIONS = {
     Protocol.BB84: bb84_round,

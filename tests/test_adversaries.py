@@ -5,8 +5,9 @@ import pytest
 
 from support import ScriptedRandom
 from twoway_qkd import protocols
-from twoway_qkd.adversaries import AttackConfig, Strategy, validate_attack
+from twoway_qkd.adversaries import AttackConfig, Strategy
 from twoway_qkd.channel import ConfigError, Protocol
+from twoway_qkd.harness import SimConfig
 from twoway_qkd.quantum import (
     Basis,
     BellState,
@@ -58,10 +59,13 @@ class TestAttackConfig:
 
 
 class TestCompatibility:
+    """``SimConfig`` alone decides which attack a run may pair with its protocol."""
+
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_none_and_native_attack_allowed(self, protocol):
-        validate_attack(protocol, AttackConfig())
-        validate_attack(protocol, AttackConfig(strategy=_ALLOWED[protocol]))
+        for strategy in (Strategy.NONE, _ALLOWED[protocol]):
+            config = SimConfig(protocol, 100, attack=AttackConfig(strategy=strategy))
+            assert config.attack.strategy is strategy
 
     @pytest.mark.parametrize(
         "protocol, strategy",
@@ -72,8 +76,11 @@ class TestCompatibility:
         ],
     )
     def test_foreign_attack_rejected(self, protocol, strategy):
-        with pytest.raises(ConfigError):
-            validate_attack(protocol, AttackConfig(strategy=strategy))
+        with pytest.raises(ConfigError) as excinfo:
+            SimConfig(protocol, 100, attack=AttackConfig(strategy=strategy))
+        assert str(excinfo.value) == (
+            f"attack {strategy.value!r} is not defined against protocol {protocol.value!r}"
+        )
 
 
 def calls(monkeypatch, name):

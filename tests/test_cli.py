@@ -704,7 +704,7 @@ class TestImportFloor:
             from twoway_qkd.cli import main
 
             class StandInPool:
-                def __init__(self, max_workers):
+                def __init__(self, max_workers, mp_context=None):
                     seen = ("numpy", "twoway_qkd.harness", *{REFERENCE!r})
                     loaded = [name for name in seen if name in sys.modules]
                     print(max_workers, loaded, file=sys.stderr)
@@ -739,9 +739,9 @@ class TestReproducibility:
             from twoway_qkd.cli import main
 
             class Pool(concurrent.futures.ProcessPoolExecutor):
-                def __init__(self, max_workers):
+                def __init__(self, max_workers, mp_context=None):
                     print("pool", max_workers, file=sys.stderr)
-                    super().__init__(max_workers)
+                    super().__init__(max_workers, mp_context)
 
             concurrent.futures.ProcessPoolExecutor = Pool
             harness.POOL_MIN_CHUNKS = 1

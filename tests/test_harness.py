@@ -286,8 +286,14 @@ class TestChunkPlan:
         tasks = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 assert max_workers == 2
+                # Fork is pinned on Linux, so that no CPython release moves
+                # it; other platforms keep their default.
+                if sys.platform == "linux":
+                    assert mp_context.get_start_method() == "fork"
+                else:
+                    assert mp_context is None
 
             def __enter__(self):
                 return self

@@ -132,6 +132,30 @@ class TestDrawAlignment:
         clean = play(protocol, strategy=Strategy.NONE, q=1.0, **kwargs)
         assert attacked == clean
 
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_mode_draw_is_spent_only_at_a_positive_cm_prob(self, protocol):
+        # A lossless attack-free round draws its presence, its survival and
+        # one uniform in the body; at cm_prob > 0 a two-way round adds the mode
+        # draw.  bb84, played only at cm_prob 0, keeps its three.
+        class CountingRandom(random.Random):
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return super().random()
+
+        def draws(cm_prob):
+            rng, tally = CountingRandom(3), Tally()
+            for _ in range(100):
+                ROUND_FUNCTIONS[protocol](tally, rng, Strategy.NONE, 1.0, cm_prob, 1.0, 0.0)
+            assert tally.rounds == tally.mm_rounds == 100
+            return rng.draws
+
+        spent = draws(0.0)
+        assert spent == 300
+        if protocol is not Protocol.BB84:
+            assert draws(5e-324) == spent + 100
+
 
 class TestLoss:
     @pytest.mark.parametrize("protocol", list(Protocol))
