@@ -127,8 +127,10 @@ def _output_args(sub: argparse.ArgumentParser, default_format: str) -> None:
 
 
 # Rows per block: analyze holds one block of its grid, rows and text at a time,
-# never the whole grid.  Blocks of 1024 rows write as fast as blocks of 4096.
-_BLOCK_ROWS = 1024
+# never the whole grid.  Blocks of 128 rows write about as fast as blocks of 1024,
+# and their text is small enough for the heap to reuse, so the resident peak
+# stays flat in the row count.
+_BLOCK_ROWS = 128
 
 
 def _csv_cells(values: Iterable[object]) -> list[object]:
@@ -152,11 +154,15 @@ def _fill(
     """Each block of rows as ``sep.join([row] * len(block))`` with the block's
     values, as ``texts`` turns them, in its ``%s`` slots, after ``lead`` (a
     template too) for the first block and ``sep`` for each later one.  A block
-    is let go as soon as it is filled."""
+    is let go as soon as it is filled.  Each template is built at its first
+    use and kept for the document: every block but the last is full."""
+
+    @cache
+    def template(lead: str, rows: int) -> str:
+        return lead + sep.join([row] * rows)
 
     def fill(block: list, lead: str) -> str:
-        template = lead + sep.join([row] * len(block))
-        return template % tuple(texts(chain.from_iterable(block)))
+        return template(lead, len(block)) % tuple(texts(chain.from_iterable(block)))
 
     return map(fill, blocks, chain([lead], repeat(sep)))
 

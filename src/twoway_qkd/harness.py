@@ -230,9 +230,8 @@ def _book(tally, n, eve, cm, live, dark, error, eve_correct, keep) -> None:
     and the surviving photons, ``dark`` the lost rounds whose detector fired
     anyway.  ``error``, ``eve_correct`` and ``keep`` are the body's outcome;
     ``keep`` marks the message rounds that sifting keeps (-1 keeps all).
-    Masks are ints with one lane per round, or bools for a single round; a
-    negative outcome mask (``~x``) is counted only after an and with a
-    non-negative one.
+    Masks are ints with one lane per round; a negative outcome mask (``~x``)
+    is counted only after an and with a non-negative one.
     """
     tally.rounds += n
     tally.eve_rounds += eve.bit_count()

@@ -42,7 +42,7 @@ def _round_function(body):
 
     The body is called as ``body(rng, cm, dark, eve)`` for a detected round
     and returns ``(error, eve_correct)``, or None for a message round that
-    sifting discards.  The round is booked with bools as one-lane masks.
+    sifting discards.  The round is booked with ints as one-lane masks.
     """
 
     def round_fn(
@@ -59,7 +59,8 @@ def _round_function(body):
         live = rng.random() < transmittance
         dark = not live and dark_prob > 0.0 and rng.random() < dark_prob
         result = body(rng, cm, dark, eve and not dark) if live or dark else None
-        _book(tally, 1, eve, cm, live, dark, *(result or (False, False)), result is not None)
+        masks = eve, cm, live, dark, *(result or (0, 0)), result is not None
+        _book(tally, 1, *map(int, masks))
 
     round_fn.__doc__ = body.__doc__
     return round_fn

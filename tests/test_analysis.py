@@ -163,9 +163,10 @@ class TestDisturbanceGrid:
             disturbance_grid(start, end, step)
 
     def test_point_count_is_capped(self):
-        assert len(disturbance_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
-        with pytest.raises(ValueError, match="points"):
-            disturbance_grid(0.0, float(MAX_GRID_POINTS), 1.0)
+        # README's cap, written out, so that a moved MAX_GRID_POINTS fails here.
+        assert len(disturbance_grid(0.0, 999_999.0, 1.0)) == MAX_GRID_POINTS == 1_000_000
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            disturbance_grid(0.0, 1_000_000.0, 1.0)
         # Finite bounds whose span overflows to inf are rejected too.
         with pytest.raises(ValueError, match="points"):
             disturbance_grid(-1e308, 1e308, 1.0)

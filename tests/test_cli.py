@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import shlex
 import shutil
 import subprocess
@@ -32,6 +33,9 @@ from twoway_qkd.harness import CHUNK_ROUNDS, POOL_MIN_CHUNKS
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
+# A process's resident peak, as the kernel reports it, under glibc's heap.
+READS_VMHWM = (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+               and os.access("/proc/self/status", os.R_OK))
 
 
 def run_cli(capsys, *argv):
@@ -383,10 +387,14 @@ class TestDocumentBytes:
         self.check_analyze(capsys, fmt, 0.5, 0.001, 501)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    # one row; one block and one row more; four blocks and one row more
+    # one row; one block and one row more; four blocks and one row more; and
+    # 1,024 and 4,096 rows, whole blocks of any power-of-two size up to 1,024,
+    # and one row more
     @pytest.mark.parametrize("count", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                                       4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 1])
+                                       4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 1,
+                                       1024, 1025, 4096, 4097])
     def test_analyze_at_a_block_boundary(self, capsys, fmt, count):
+        assert count % _BLOCK_ROWS in (0, 1)
         self.check_analyze(capsys, fmt, (count - 1) / 10_000, 0.0001, count)
 
     @staticmethod
@@ -431,8 +439,8 @@ class TestEmitMemory:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_peak_does_not_grow_with_the_rows(self, fmt):
-        # 5,001 rows are five blocks and 50,001 are forty-nine; an emitter that
-        # kept its blocks or pieces would peak about forty blocks higher.
+        # 5,001 rows are forty blocks and 50,001 are 391; an emitter that kept
+        # its blocks or pieces would peak about 350 blocks higher.
         (small, _), (large, longest) = (self.peak(fmt, step) for step in (1e-4, 1e-5))
         assert abs(large - small) <= 2 * longest, f"peaks {small:,} and {large:,} bytes"
 
@@ -442,6 +450,30 @@ class TestEmitMemory:
         (small, _), (large, longest) = (self.command_peak(fmt, step, monkeypatch)
                                         for step in (1e-4, 1e-5))
         assert abs(large - small) <= 2 * longest, f"peaks {small:,} and {large:,} bytes"
+
+    @pytest.mark.skipif(not READS_VMHWM, reason="reads glibc's peak from /proc/self/status")
+    def test_resident_peak_does_not_grow_with_the_rows(self, tmp_path):
+        # The whole process, heap fragments included: a fresh CSV analyze of
+        # 20,001 rows and one at the 1,000,000-row cap each read their own
+        # peak.  A heap that fragments around each block's text, as it did
+        # with 1024-row blocks, reads 11–12 MB higher at the cap.
+        small, large = (self.resident_peak(grid, tmp_path / "out.csv")
+                        for grid in ("0:0.5:2.5e-5", "0:0.4999995:5e-7"))
+        assert abs(large - small) <= 2.5 * 1024, f"VmHWM {small:,} and {large:,} kB"
+
+    @staticmethod
+    def resident_peak(grid, path):
+        """A fresh interpreter's VmHWM in kB after ``analyze --d-grid GRID
+        --format csv --output PATH``."""
+        result = run_fresh(f"""
+            from twoway_qkd.cli import main
+            argv = ["analyze", "--d-grid", "{grid}", "--format", "csv", "--output"]
+            assert main([*argv, {str(path)!r}]) == 0
+            with open("/proc/self/status") as status:
+                print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+            """)
+        assert result.returncode == 0, result.stderr
+        return int(result.stdout)
 
     @staticmethod
     def peak(fmt, step):

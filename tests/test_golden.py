@@ -17,7 +17,7 @@ read as its exit code.
   0.4 and 1 and the four channels below, in both formats, at 9000 rounds;
   for 1 to 1,000,000 rounds on the attacked pairings at ``--workers 1``;
   and for ``analyze`` on a signed-zero grid and grids of 1, 4096 and 4097
-  rows (four whole blocks of ``cli._BLOCK_ROWS`` and one row more), in both
+  rows (32 whole blocks of ``cli._BLOCK_ROWS`` and one row more), in both
   formats.
 * ``exits.txt``: ``--version`` and a command for each documented non-zero
   exit code, run from an empty working directory.  Each ``$ twoway-qkd``
@@ -112,7 +112,7 @@ def digest_commands() -> list[list[str]]:
                       "--workers", "1", cm_prob="0.3")
              for protocol, attack in ATTACKED
              for rounds in ("1", "4097", "16383", "16385", "200000", "1000000")]
-    # a signed zero; 1, 4096 (4 * cli._BLOCK_ROWS) and 4097 rows
+    # a signed zero; 1, 4096 (32 * cli._BLOCK_ROWS) and 4097 rows
     grids = [["analyze", grid, "--format", fmt]
              for grid in ("--d-grid=-0.0:0.5:0.125", "--d-grid=0.25:0.25:0.1",
                           "--d-grid=0:0.4095:0.0001", "--d-grid=0:0.4096:0.0001")

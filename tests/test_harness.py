@@ -170,6 +170,13 @@ class TestRunStatsDerived:
         assert stats.i_ae_emp == (4 / 5) * (1.0 - binary_entropy(0.25))
         assert stats.r_emp == stats.i_ab_emp - stats.i_ae_emp
 
+    def test_eve_wrong_on_most_of_her_bits_still_knows_them(self):
+        # Right on 1 of 5 bits, she flips her copy and is right on 4 of 5: her
+        # error rate is 4/5, not clamped at 1/2, and h(4/5) = h(1/5).
+        stats = RunStats(rounds=10, mm_rounds=10, raw_key=10, eve_rounds=5,
+                         eve_mm_rounds=5, eve_mm_correct=1)
+        assert stats.i_ae_emp == pytest.approx((5 / 10) * (1.0 - binary_entropy(0.2)))
+
     def test_zero_denominators(self):
         stats = RunStats(*([4] + [0] * 12))
         assert stats.d_mm == 0.0

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from twoway_qkd import protocols
 from twoway_qkd.adversaries import Strategy
 from twoway_qkd.channel import Protocol
 from twoway_qkd.protocols import ROUND_FUNCTIONS, Tally, bb84_round, lm05_round, pp_round
@@ -155,6 +156,27 @@ class TestDrawAlignment:
         assert spent == 300
         if protocol is not Protocol.BB84:
             assert draws(5e-324) == spent + 100
+
+
+class TestBooking:
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_rounds_are_booked_with_int_masks(self, protocol, monkeypatch):
+        # ``~`` on a bool is deprecated since CPython 3.12, and ``_book``
+        # inverts its masks, so a one-lane mask must be an int, not a bool.
+        booked, real_book = [], protocols._book
+
+        def book(tally, n, *masks):
+            booked.append(masks)
+            real_book(tally, n, *masks)
+
+        monkeypatch.setattr(protocols, "_book", book)
+        cm = 0.0 if protocol is Protocol.BB84 else 0.3
+        tally = play(protocol, 600, seed=31, strategy=_NATIVE[protocol], q=0.5,
+                     cm_prob=cm, transmittance=0.6, dark=0.3)
+        assert len(booked) == tally.rounds == 600
+        assert tally.dark and tally.eve_mm_rounds and tally.mm_errors
+        types = {type(mask) for masks in booked for mask in masks}
+        assert types == {int}
 
 
 class TestLoss:
